@@ -76,7 +76,7 @@ def _parse_subgroup(group, text):
             raise UsageError("subgroup JSON needs field 'elements'")
         els = obj["elements"]
         for e in els:
-            if not isinstance(e, int) or not 0 <= e < group.order:
+            if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < group.order:
                 raise UsageError(f"subgroup field 'elements' has bad index {e!r}")
         return list(els)
     els = []
@@ -127,7 +127,13 @@ def _emit_group(g, args, extra=None):
         print(g)
 
 
+def _check_level(n):
+    if n < 0:
+        raise UsageError(f"--n must be >= 0, got {n}")
+
+
 def _cmd_hn_group(args):
+    _check_level(args.n)
     g = _parse_group(args.group)
     res = cochain.group_cohomology(g, args.n, cap=args.max_tuples)
     extra = {"group": g.name or f"order{g.order}", "n": args.n}
@@ -136,6 +142,7 @@ def _cmd_hn_group(args):
 
 
 def _cmd_hn_ext(args):
+    _check_level(args.n)
     g = _parse_group(args.group)
     h = _parse_subgroup(g, args.subgroup)
     res = cochain.relative_cohomology_isometric(g, h, args.n, cap=args.max_tuples)
@@ -220,8 +227,7 @@ def _cmd_toeplitz(args):
         w = toeplitz.generate_window(g, enumeration, args.depth)
     except ValueError as e:
         raise UsageError(str(e))
-    print(" ".join(str(v) for v in w.values))
-    if args.check:
+    if args.check:  # before any output, so a refused check prints nothing
         radius = 4
         try:
             realized = toeplitz.essential_values_check(
@@ -229,6 +235,8 @@ def _cmd_toeplitz(args):
             )
         except ValueError as e:
             raise UsageError(f"field 'depth' too small for check: {e}")
+    print(" ".join(str(v) for v in w.values))
+    if args.check:
         report = {
             "group": g.name or f"order{g.order}",
             "depth": args.depth,

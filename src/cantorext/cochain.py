@@ -7,11 +7,9 @@ internal, callers only see n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from cantorext import exactla
 from cantorext.abelian import FgAbGroup
-from cantorext.exactla import CapExceeded, ExactMatrix
+from cantorext.exactla import ExactMatrix
 from cantorext.groups import CosetSpace, FiniteGroup, OrbitStructure, coset_space
 
 DEFAULT_TUPLE_CAP = 5_000_000
@@ -58,53 +56,13 @@ def differential_matrix(k: CosetSpace, n: int, cap=DEFAULT_TUPLE_CAP,
     return ExactMatrix(dst.count, src.count, entries)
 
 
-@dataclass(frozen=True)
-class InvariantChain:
-    """Orbit bases and differentials d_m : I(K^m) -> I(K^(m+1)), m = 1..max_level."""
+def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
+    """ker(d_m)/im(d_(m-1)) of the invariant chain over K, building only d_(m-1), d_m.
 
-    coset_space: CosetSpace
-    max_level: int
-    ranks: tuple  # orbit counts of K^m for m = 1..max_level+1
-    differentials: tuple  # d_1..d_max_level
-
-
-def build_chain(k: CosetSpace, max_level: int, cap=DEFAULT_TUPLE_CAP) -> InvariantChain:
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    ranks = tuple(OrbitStructure(k, m, cap=cap).count for m in range(1, max_level + 2))
-    diffs = tuple(differential_matrix(k, m, cap=cap) for m in range(1, max_level + 1))
-    for a, b in zip(diffs, diffs[1:]):
-        if b.matmul(a).nnz:
-            raise AssertionError("d_{m+1} o d_m != 0")
-    return InvariantChain(coset_space=k, max_level=max_level, ranks=ranks, differentials=diffs)
-
-
-def homology_at(chain: InvariantChain, m: int) -> FgAbGroup:
-    """ker(d_m)/im(d_(m-1)), with d_0 understood as the zero map into I(K).
-
-    Since ker(d_m) is saturated, Z^n/ker is free and the torsion of the
-    homology equals the torsion of coker(d_(m-1)); the free rank is
-    n_m - rank(d_m) - rank(d_(m-1)).
+    d_0 is understood as the zero map into I(K).  Since ker(d_m) is saturated,
+    Z^n/ker is free and the torsion of the homology equals the torsion of
+    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).
     """
-    if not 1 <= m <= chain.max_level:
-        raise ValueError(f"level {m} outside 1..{chain.max_level}")
-    n_m = chain.ranks[m - 1]
-    d_m = chain.differentials[m - 1]
-    rank_out = exactla.rank(d_m)
-    if m == 1:
-        torsion = []
-        rank_in = 0
-    else:
-        diag = exactla.snf_diagonal(chain.differentials[m - 2])
-        torsion = [d for d in diag if d > 1]
-        rank_in = len(diag)
-    free = n_m - rank_out - rank_in
-    return FgAbGroup.from_orders(torsion, free_rank=free)
-
-
-def _chain_homology(k: CosetSpace, m: int, cap) -> FgAbGroup:
-    """Homology at level m of the invariant chain, building only d_(m-1), d_m."""
-    n_m = OrbitStructure(k, m, cap=cap).count
     d_m = differential_matrix(k, m, cap=cap)
     rank_out = exactla.rank(d_m)
     if m == 1:
@@ -114,7 +72,7 @@ def _chain_homology(k: CosetSpace, m: int, cap) -> FgAbGroup:
         diag = exactla.snf_diagonal(differential_matrix(k, m - 1, cap=cap))
         torsion = [d for d in diag if d > 1]
         rank_in = len(diag)
-    free = n_m - rank_out - rank_in
+    free = d_m.cols - rank_out - rank_in
     return FgAbGroup.from_orders(torsion, free_rank=free)
 
 
@@ -128,7 +86,7 @@ def group_cohomology(g: FiniteGroup, n: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup
     if n < 0:
         raise ValueError("n must be >= 0")
     k = coset_space(g, [])
-    return _chain_homology(k, n + 1, cap)
+    return homology_at(k, n + 1, cap)
 
 
 def relative_cohomology_isometric(g: FiniteGroup, h_gens, n: int,
@@ -142,4 +100,4 @@ def relative_cohomology_isometric(g: FiniteGroup, h_gens, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     k = coset_space(g, h_gens)
-    return _chain_homology(k, n + 3, cap)
+    return homology_at(k, n + 3, cap)

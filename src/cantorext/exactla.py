@@ -21,10 +21,6 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-# density below which a matrix reports itself as sparse
-SPARSE_DENSITY = 0.1
-
-
 class ExactMatrix:
     """Immutable integer matrix.
 
@@ -109,11 +105,6 @@ class ExactMatrix:
     def nnz(self):
         return len(self._d)
 
-    @property
-    def is_sparse(self):
-        total = self.rows * self.cols
-        return total > 0 and self.nnz / total < SPARSE_DENSITY
-
     def to_rows(self):
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self._d.items():
@@ -169,9 +160,6 @@ class ExactMatrix:
         for (i, j), v in other._d.items():
             ent[(i, j + self.cols)] = v
         return ExactMatrix(self.rows, self.cols + other.cols, ent)
-
-    def scale(self, c):
-        return ExactMatrix(self.rows, self.cols, {k: c * v for k, v in self._d.items()})
 
     def to_json_obj(self):
         """{"rows": r, "cols": c, "entries": [[...]]} with decimal-string entries."""

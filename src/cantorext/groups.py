@@ -302,101 +302,79 @@ class OrbitStructure:
     """Diagonal G-orbits on K^n: representatives plus an index function.
 
     Representatives are the lexicographically smallest members of their
-    orbits, listed in lexicographic order.  For regular K (trivial H) the
-    canonical form is computed by translation and representatives are
-    enumerated directly, never materializing all |K|^n tuples.
+    orbits, listed in lexicographic order.  H is the stabilizer of point 0,
+    so the G-orbits on K^n match the H-orbits on K^(n-1) through the tuples
+    (0, y) (Shapiro's lemma in orbit form).  A tuple is moved to first entry 0
+    by a precomputed coset element, its tail is read as a base-|K| code, and
+    one table of size |K|^(n-1) maps each code to the index of its H-orbit.
+    For trivial H the table is the identity and costs nothing to build.
     """
 
     def __init__(self, space: CosetSpace, n: int, cap=5_000_000):
         if n < 1:
             raise ValueError("n must be >= 1")
+        k = space.size
+        # the cap counts orbits for regular spaces and all tuples otherwise
+        size = k ** (n - 1) if space.is_regular else k ** n
+        if size > cap:
+            raise CapExceeded(f"size {size} exceeds cap {cap}", size=size, cap=cap)
         self.space = space
         self.n = n
-        k = space.size
-        if space.is_regular:
-            count = k ** (n - 1)
-            if count > cap:
-                raise CapExceeded(
-                    f"{count} orbit representatives exceed cap {cap}", size=count, cap=cap
-                )
-            self.count = count
-            self._index = None
+        self._k = k
+        action, inv = space.action, space.group.inv
+        # _to_base[x]: the action of a coset element moving point x to 0
+        to_base = [None] * k
+        for g in range(space.group.order):
+            x = action[g][0]
+            if to_base[x] is None:
+                to_base[x] = action[inv[g]]
+        self._to_base = tuple(to_base)
+        # _table[code]: H-orbit index of the tail with that code; _reps: the
+        # smallest code of each H-orbit, in increasing order
+        moves = [action[h] for h in space.subgroup if h]
+        if not moves:
+            self._table = self._reps = range(k ** (n - 1))
         else:
-            total = k ** n
-            if total > cap:
-                raise CapExceeded(
-                    f"{total} tuples exceed cap {cap}", size=total, cap=cap
-                )
-            index = {}
+            table = [-1] * k ** (n - 1)
             reps = []
-            for tup in product(range(k), repeat=n):
-                if tup in index:
+            for code, tail in enumerate(product(range(k), repeat=n - 1)):
+                if table[code] >= 0:
                     continue
-                orbit = {space.act_tuple(g, tup) for g in range(space.group.order)}
                 idx = len(reps)
-                reps.append(tup)
-                for t in orbit:
-                    index[t] = idx
-            self._index = index
-            self._reps = reps
-            self.count = len(reps)
+                reps.append(code)
+                table[code] = idx
+                for a in moves:
+                    c = 0
+                    for x in tail:
+                        c = c * k + a[x]
+                    table[c] = idx
+            self._table, self._reps = table, reps
+        self.count = len(self._reps)
 
     def reps(self):
         """Yield orbit representatives in lexicographic order."""
-        if self._index is None:
-            k = self.space.size
-            for rest in product(range(k), repeat=self.n - 1):
-                yield (0,) + rest
-        else:
-            yield from self._reps
+        reps, table = self._reps, self._table
+        tails = product(range(self._k), repeat=self.n - 1)
+        return ((0,) + tail for code, tail in enumerate(tails) if reps[table[code]] == code)
 
     def rep(self, idx):
-        if self._index is None:
-            k = self.space.size
-            rest = []
-            for _ in range(self.n - 1):
-                rest.append(idx % k)
-                idx //= k
-            return (0,) + tuple(reversed(rest))
-        return self._reps[idx]
+        code = self._reps[idx]
+        k = self._k
+        tail = []
+        for _ in range(self.n - 1):
+            code, x = divmod(code, k)
+            tail.append(x)
+        return (0,) + tuple(reversed(tail))
 
     def index(self, tup):
         """Orbit index of an arbitrary tuple."""
-        if self._index is None:
-            g = self.space.group
-            t = g.inv[tup[0]]
-            idx = 0
-            for x in tup[1:]:
-                idx = idx * self.space.size + g.mul[t][x]
-            return idx
-        return self._index[tup]
+        a = self._to_base[tup[0]]
+        k = self._k
+        code = 0
+        for x in tup[1:]:
+            code = code * k + a[x]
+        return self._table[code]
 
     def canonical(self, tup):
         """Lexicographically smallest member of the orbit of tup."""
-        if self._index is None:
-            g = self.space.group
-            t = g.inv[tup[0]]
-            return tuple(g.mul[t][x] for x in tup)
-        return self._reps[self._index[tup]]
-
-
-def diagonal_orbits(k: CosetSpace, n: int, cap=5_000_000):
-    """All diagonal orbits on K^n as (list of orbit sets, {tuple: orbit index}).
-
-    Materializes every tuple; intended for desk-size spaces.  The orbit list
-    is ordered by lexicographically smallest member.
-    """
-    total = k.size ** n
-    if total > cap:
-        raise CapExceeded(f"{total} tuples exceed cap {cap}", size=total, cap=cap)
-    index = {}
-    orbits = []
-    for tup in product(range(k.size), repeat=n):
-        if tup in index:
-            continue
-        orbit = {k.act_tuple(g, tup) for g in range(k.group.order)}
-        idx = len(orbits)
-        orbits.append(orbit)
-        for t in orbit:
-            index[t] = idx
-    return orbits, index
+        return self.rep(self.index(tup))

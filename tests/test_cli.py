@@ -59,6 +59,11 @@ class TestHnGroup:
         assert obj["refused"] is True and obj["reason"] == "size-cap"
         assert obj["size"] > obj["cap"] == 1000
 
+    def test_negative_n_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "hn-group", "--group", "Z2", "--n", "-1")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "--n" in err
+
 
 class TestHnExt:
     def test_shift_law_z2(self, capsys):
@@ -88,6 +93,20 @@ class TestHnExt:
             capsys, "hn-ext", "--group", "S3", "--subgroup", sub, "--n", "0"
         )
         assert code == 2 and "elements" in err
+
+    def test_boolean_subgroup_element(self, capsys):
+        sub = json.dumps({"elements": [True]})
+        code, out, err = invoke(
+            capsys, "hn-ext", "--group", "S3", "--subgroup", sub, "--n", "0"
+        )
+        assert code == 2 and out == "" and "elements" in err
+
+    def test_negative_n_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "hn-ext", "--group", "S3", "--subgroup", "1,0,2", "--n", "-1"
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "--n" in err
 
 
 class TestTorExt:
@@ -190,6 +209,12 @@ class TestToeplitz:
             "--enumeration", "1,0,2",
         )
         assert code == 2
+
+    def test_check_depth_too_small_prints_nothing(self, capsys):
+        code, out, err = invoke(
+            capsys, "toeplitz", "--group", "S3", "--depth", "2", "--check"
+        )
+        assert code == 2 and out == "" and "depth" in err
 
 
 class TestDeterminism:

@@ -42,10 +42,19 @@ class TestDifferential:
                 assert d2[i, o] == acc.get(o, 0)
 
     def test_composition_is_zero(self):
-        for name in ("Z3", "S3"):
-            k = coset_space(groups.builtin(name), [])
-            chain = cochain.build_chain(k, 3)
-            for a, b in zip(chain.differentials, chain.differentials[1:]):
+        s3 = groups.builtin("S3")
+        transposition = [s3.element_of_perm((1, 0, 2))]
+        three_cycle = [s3.element_of_perm((1, 2, 0))]
+        spaces = [
+            coset_space(groups.builtin("Z3"), []),
+            coset_space(s3, []),
+            coset_space(groups.builtin("Z2"), [1]),
+            coset_space(s3, transposition),
+            coset_space(s3, three_cycle),
+        ]
+        for k in spaces:
+            diffs = [cochain.differential_matrix(k, m) for m in range(1, 5)]
+            for a, b in zip(diffs, diffs[1:]):
                 assert b.matmul(a).nnz == 0
 
     def test_representative_independence_on_cosets(self):
@@ -58,29 +67,33 @@ class TestDifferential:
 class TestHomologyAt:
     def test_level_one_is_z(self):
         k = coset_space(groups.builtin("Z3"), [])
-        chain = cochain.build_chain(k, 3)
-        assert cochain.homology_at(chain, 1) == FgAbGroup.free(1)
+        assert cochain.homology_at(k, 1) == FgAbGroup.free(1)
 
     def test_level_two_trivial(self):
         for name in ("Z2", "Z3"):
             k = coset_space(groups.builtin(name), [])
-            chain = cochain.build_chain(k, 3)
-            assert cochain.homology_at(chain, 2).is_trivial
+            assert cochain.homology_at(k, 2).is_trivial
 
     def test_single_point_exact(self):
         g = groups.builtin("Z2")
         k = coset_space(g, [1])
-        chain = cochain.build_chain(k, 4)
         # level 1 carries the constants; the alternating chain is exact above
-        assert cochain.homology_at(chain, 1) == FgAbGroup.free(1)
+        assert cochain.homology_at(k, 1) == FgAbGroup.free(1)
         for m in range(2, 5):
-            assert cochain.homology_at(chain, m).is_trivial
+            assert cochain.homology_at(k, m).is_trivial
 
     def test_level_out_of_range(self):
         k = coset_space(groups.builtin("Z2"), [])
-        chain = cochain.build_chain(k, 2)
         with pytest.raises(ValueError):
-            cochain.homology_at(chain, 3)
+            cochain.homology_at(k, 0)
+
+    def test_refusal_size_non_regular(self):
+        # a non-regular space is still refused by its tuple count |K|^n
+        g = groups.builtin("S3")
+        k = coset_space(g, [g.element_of_perm((1, 0, 2))])
+        with pytest.raises(CapExceeded) as exc:
+            cochain.homology_at(k, 4, cap=50)
+        assert (exc.value.size, exc.value.cap) == (3**4, 50)
 
 
 class TestGroupCohomology:

@@ -1,5 +1,7 @@
 """Unit tests for finite groups, coset spaces, and diagonal orbits."""
 
+from itertools import product
+
 import pytest
 
 from cantorext import groups
@@ -121,22 +123,51 @@ class TestCosetSpace:
         assert k.size == 1
 
 
+def brute_force_orbits(k, n):
+    """Diagonal orbits on K^n by materializing every tuple and every translate.
+
+    Returns (orbit sets ordered by smallest member, {tuple: orbit index}).
+    """
+    index = {}
+    orbits = []
+    for tup in product(range(k.size), repeat=n):
+        if tup in index:
+            continue
+        orbit = {k.act_tuple(g, tup) for g in range(k.group.order)}
+        for t in orbit:
+            index[t] = len(orbits)
+        orbits.append(orbit)
+    return orbits, index
+
+
+def oracle_spaces():
+    """Every builtin group with trivial, cyclic and whole-group H."""
+    for name in groups.BUILTIN_NAMES:
+        g = groups.builtin(name)
+        subgroups = {(0,), tuple(range(g.order))}
+        subgroups.update(g.subgroup_closure([x]) for x in range(1, g.order))
+        for h in sorted(subgroups):
+            yield name, coset_space(g, list(h))
+
+
+ORACLE_MAX_TUPLES = 20_000
+ORACLE_MAX_LEVEL = 6
+
+
 class TestOrbits:
     def test_z2_squared(self):
         k = coset_space(groups.builtin("Z2"), [])
-        orbits, index = groups.diagonal_orbits(k, 2)
-        assert [sorted(o) for o in orbits] == [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
-        assert index[(1, 0)] == 1
+        st = OrbitStructure(k, 2)
+        assert list(st.reps()) == [(0, 0), (0, 1)]
+        assert st.index((1, 0)) == 1 and st.index((1, 1)) == 0
 
     def test_transitive_single_orbit(self):
         k = coset_space(groups.builtin("S3"), [])
-        orbits, _ = groups.diagonal_orbits(k, 1)
-        assert len(orbits) == 1
+        assert OrbitStructure(k, 1).count == 1
 
     def test_s3_squared(self):
         k = coset_space(groups.builtin("S3"), [])
-        orbits, _ = groups.diagonal_orbits(k, 2)
-        assert len(orbits) == 6
+        assert OrbitStructure(k, 2).count == 6
 
     def test_burnside_cross_check(self):
         for name in ("Z4", "S3", "D4"):
@@ -146,7 +177,7 @@ class TestOrbits:
                 for n in (1, 2, 3):
                     if k.size**n > 5000:
                         continue
-                    orbits, _ = groups.diagonal_orbits(k, n)
+                    orbits, _ = brute_force_orbits(k, n)
                     burnside = (
                         sum(
                             sum(1 for p in range(k.size) if k.action[a][p] == p) ** n
@@ -154,28 +185,32 @@ class TestOrbits:
                         )
                         // g.order
                     )
-                    assert len(orbits) == burnside
+                    assert len(orbits) == burnside == OrbitStructure(k, n).count
 
     def test_orbit_sizes_divide_group_order(self):
         g = groups.builtin("S3")
         k = coset_space(g, [g.element_of_perm((1, 0, 2))])
-        orbits, _ = groups.diagonal_orbits(k, 2)
+        orbits, _ = brute_force_orbits(k, 2)
         for o in orbits:
             assert g.order % len(o) == 0
 
-    def test_orbit_structure_regular_fast_path(self):
-        g = groups.builtin("S3")
-        k = coset_space(g, [])
-        st = OrbitStructure(k, 3)
-        orbits, index = groups.diagonal_orbits(k, 3)
-        assert st.count == len(orbits)
-        for i, rep in enumerate(st.reps()):
-            assert st.rep(i) == rep
-            assert st.index(rep) == i
-            assert st.canonical(rep) == rep
-        # index must be constant on orbits
-        for tup, o in index.items():
-            assert st.index(tup) == st.index(orbits[o].copy().pop())
+    def test_orbit_structure_matches_brute_force(self):
+        checked = 0
+        for name, k in oracle_spaces():
+            for n in range(1, ORACLE_MAX_LEVEL + 1):
+                if k.size**n > ORACLE_MAX_TUPLES:
+                    break
+                st = OrbitStructure(k, n)
+                orbits, index = brute_force_orbits(k, n)
+                reps = [min(o) for o in orbits]
+                assert st.count == len(orbits), (name, k.subgroup, n)
+                assert list(st.reps()) == reps
+                assert [st.rep(i) for i in range(st.count)] == reps
+                for tup, o in index.items():
+                    assert st.index(tup) == o
+                    assert st.canonical(tup) == reps[o]
+                checked += 1
+        assert checked > 100
 
     def test_orbit_structure_cap(self):
         k = coset_space(groups.builtin("S5"), [])
