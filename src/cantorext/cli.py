@@ -146,10 +146,9 @@ def _cmd_hn_ext(args):
     g = _parse_group(args.group)
     h = _parse_subgroup(g, args.subgroup)
     res = cochain.relative_cohomology_isometric(g, h, args.n, cap=args.max_tuples)
-    k = groups.coset_space(g, h)
     extra = {
         "group": g.name or f"order{g.order}",
-        "subgroup_order": len(k.subgroup),
+        "subgroup_order": len(g.subgroup_closure(h)),
         "n": args.n,
     }
     _emit_group(res, args, extra)
@@ -188,8 +187,16 @@ def _cmd_dimquot(args):
     a = _parse_matrix(args.target_matrix, "target")
     b = _parse_matrix(args.source_matrix, "source")
     r = _parse_matrix(args.map, "map")
-    target = dimlim.StationaryLimit(a, _parse_vector(args.target_unit, "target unit"))
-    source = dimlim.StationaryLimit(b, _parse_vector(args.source_unit, "source unit"))
+    target_unit = _parse_vector(args.target_unit, "target unit")
+    source_unit = _parse_vector(args.source_unit, "source unit")
+    try:
+        target = dimlim.StationaryLimit(a, target_unit)
+    except ValueError as e:
+        raise UsageError(f"bad target: {e}")
+    try:
+        source = dimlim.StationaryLimit(b, source_unit)
+    except ValueError as e:
+        raise UsageError(f"bad source: {e}")
     try:
         t = dimlim.Intertwiner(source=source, target=target, r=r)
     except ValueError as e:

@@ -62,9 +62,18 @@ def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
     d_0 is understood as the zero map into I(K).  Since ker(d_m) is saturated,
     Z^n/ker is free and the torsion of the homology equals the torsion of
     coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).
+
+    The invariant factors of d_(m-1) come first, because their count is
+    rank(d_(m-1)).  Since d_m . d_(m-1) = 0, rank(d_m) <= n_m - rank(d_(m-1)),
+    and a rank mod p is at most the rational rank, so a rank of d_m mod p that
+    reaches this bound proves it exact (``exactla.rank`` with ``bound``).  It
+    is reached when the homology at m is torsion and p divides no invariant
+    factor of d_m, which is the torsion one level up.  Every H^n(X|Y) is
+    torsion and |G| annihilates it (Brown III.10 for group cohomology), so
+    the prime of ``exactla``, above |G|, certifies every level but the first.
+    At level 1, H^0 = Z is free: the bound is out of reach and the exact
+    elimination decides.
     """
-    d_m = differential_matrix(k, m, cap=cap)
-    rank_out = exactla.rank(d_m)
     if m == 1:
         torsion = []
         rank_in = 0
@@ -72,6 +81,8 @@ def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
         diag = exactla.snf_diagonal(differential_matrix(k, m - 1, cap=cap))
         torsion = [d for d in diag if d > 1]
         rank_in = len(diag)
+    d_m = differential_matrix(k, m, cap=cap)
+    rank_out = exactla.rank(d_m, bound=d_m.cols - rank_in)
     free = d_m.cols - rank_out - rank_in
     return FgAbGroup.from_orders(torsion, free_rank=free)
 

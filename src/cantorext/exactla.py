@@ -407,9 +407,58 @@ def _sparse_echelon(m: ExactMatrix) -> list:
     return pivot_rows
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank via sparse unimodular row elimination."""
+# The largest prime below 2^30: residues fit in one CPython digit, and it
+# exceeds the order of any group the permutation-closure cap admits.
+RANK_PRIME = 1_073_741_789
+
+
+def rank(m: ExactMatrix, bound=None) -> int:
+    """Exact rank of m.
+
+    Without ``bound`` this is sparse unimodular row elimination over Z.  A
+    ``bound`` is the caller's proof that rank(m) <= bound.  The rows of m are
+    then streamed through an elimination mod RANK_PRIME that stops as soon as
+    the rank mod p reaches ``bound``.  A rank mod p never exceeds the rational
+    rank, so reaching the bound certifies rank(m) == bound.  When the rank mod
+    p stays below it, the exact elimination decides.
+    """
+    if bound is not None and _rank_mod_p_reaches(m, bound):
+        return bound
     return len(_sparse_echelon(m))
+
+
+def _rank_mod_p_reaches(m: ExactMatrix, bound: int) -> bool:
+    """Whether the rank of m mod RANK_PRIME reaches bound, rows streamed in order.
+
+    Pivots are keyed by column and each row pivots on its largest column, so a
+    reduced row only ever gains entries to the left of the pivot it meets;
+    pivoting on the smallest column fills in far more on the differentials.
+    """
+    if bound <= 0:
+        return True
+    p = RANK_PRIME
+    found = 0
+    pivots = {}  # leading column -> rest of the row, scaled to leading entry 1
+    for r in m.row_dicts():
+        row = {j: v % p for j, v in r.items() if v % p}
+        while row:
+            j = max(row)
+            c = row.pop(j)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(c, -1, p)
+                pivots[j] = {k: v * inv % p for k, v in row.items()}
+                found += 1
+                if found == bound:
+                    return True
+                break
+            for k, v in piv.items():
+                w = (row.get(k, 0) - c * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]  # w == 0 needs row[k] present: c, v are units
+    return False
 
 
 def snf_diagonal(m: ExactMatrix) -> list:

@@ -12,7 +12,13 @@ import math
 import random
 from dataclasses import dataclass
 
+from cantorext.exactla import CapExceeded
 from cantorext.groups import FiniteGroup
+
+# Deepest window built, a window of 2^22 entries.  The window and its stage
+# table are lists of 2^depth entries, so a deeper window is refused before
+# either is allocated.
+WINDOW_MAX_DEPTH = 22
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,9 @@ def generate_window(group: FiniteGroup, enumeration, m: int) -> ToeplitzWindow:
     """Build the depth-m window (stages 0..m; stage m fills position 2^m - 1)."""
     if m < 2:
         raise ValueError("depth must be >= 2")
+    if m > WINDOW_MAX_DEPTH:
+        raise CapExceeded(f"depth {m} exceeds the window cap of depth {WINDOW_MAX_DEPTH}",
+                          size=m, cap=WINDOW_MAX_DEPTH)
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(group.order)):
         raise ValueError("enumeration must be a bijection onto the group")
@@ -118,9 +127,9 @@ def essential_values_check(group: FiniteGroup, enumeration, m: int, agree_radius
     check passes when the whole group is realized.
     """
     n = group.order
-    if (1 << m) <= 4 * n:
+    w = generate_window(group, enumeration, m)  # refuses a depth above the cap
+    if len(w) <= 4 * n:
         raise ValueError("depth too small: need 2^m > 4N")
-    w = generate_window(group, enumeration, m)
     vals = w.values
     limit = 1 << (m - 1)
     realized = set()

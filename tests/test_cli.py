@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,19 @@ class TestDimquot:
         )
         assert code == 2
 
+    def test_singular_target_usage_error(self, capsys):
+        a = json.dumps({"rows": 2, "cols": 2, "entries": [["1", "1"], ["1", "1"]]})
+        b = json.dumps({"rows": 1, "cols": 1, "entries": [["2"]]})
+        r = json.dumps({"rows": 2, "cols": 1, "entries": [["1"], ["1"]]})
+        code, out, err = invoke(
+            capsys,
+            "dimquot",
+            "--target-matrix", a, "--target-unit", "1,1",
+            "--source-matrix", b, "--source-unit", "1",
+            "--map", r,
+        )
+        assert code == 2 and out == "" and "nonsingular" in err
+
 
 class TestToeplitz:
     def test_z2_window(self, capsys):
@@ -215,6 +229,21 @@ class TestToeplitz:
             capsys, "toeplitz", "--group", "S3", "--depth", "2", "--check"
         )
         assert code == 2 and out == "" and "depth" in err
+
+    def test_depth_above_window_cap_refused(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(
+                capsys, "toeplitz", "--group", "Z2", "--depth", "60"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "refused": True, "reason": "size-cap", "size": 60, "cap": 22,
+        }
+        assert peak < 1 << 20  # bytes; a refused window allocates nothing
 
 
 class TestDeterminism:

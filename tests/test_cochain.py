@@ -2,7 +2,7 @@
 
 import pytest
 
-from cantorext import cochain, groups
+from cantorext import cochain, exactla, groups
 from cantorext.abelian import FgAbGroup
 from cantorext.exactla import CapExceeded
 from cantorext.groups import coset_space
@@ -94,6 +94,45 @@ class TestHomologyAt:
         with pytest.raises(CapExceeded) as exc:
             cochain.homology_at(k, 4, cap=50)
         assert (exc.value.size, exc.value.cap) == (3**4, 50)
+
+
+@pytest.fixture
+def exact_rank_fallback_raises(monkeypatch):
+    """Make exactla.rank raise if it reaches its exact fallback.
+
+    snf_diagonal shares the exact echelon, so only calls made inside rank are
+    refused.
+    """
+    real_rank, real_echelon = exactla.rank, exactla._sparse_echelon
+    inside_rank = []
+
+    def rank(m, bound=None):
+        inside_rank.append(m)
+        try:
+            return real_rank(m, bound)
+        finally:
+            inside_rank.pop()
+
+    def echelon(m):
+        if inside_rank:
+            raise AssertionError("exact rank fallback reached")
+        return real_echelon(m)
+
+    monkeypatch.setattr(exactla, "rank", rank)
+    monkeypatch.setattr(exactla, "_sparse_echelon", echelon)
+
+
+class TestCertifiedRank:
+    def test_torsion_levels_certify(self, exact_rank_fallback_raises):
+        d4 = groups.builtin("D4")
+        assert cochain.group_cohomology(d4, 3) == FgAbGroup((2,))
+        # non-regular K = D4/<5>
+        assert cochain.relative_cohomology_isometric(d4, [5], 0) == FgAbGroup((2, 2))
+
+    def test_free_level_falls_back(self, exact_rank_fallback_raises):
+        # H^0 = Z is free, so the bound on d_1 is never reached mod p
+        with pytest.raises(AssertionError, match="fallback"):
+            cochain.group_cohomology(groups.builtin("D4"), 0)
 
 
 class TestGroupCohomology:

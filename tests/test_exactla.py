@@ -223,3 +223,54 @@ class TestProperties:
             assert g.order() == abs(det)
         else:
             assert g.free_rank > 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer matrices; half are products through a narrow middle, so
+    rank-deficient, and a few entries are the rank prime, which vanishes mod p."""
+    values = st.one_of(st.integers(-3, 3), st.just(exactla.RANK_PRIME))
+
+    def sparse(rows, cols):
+        if not rows or not cols:
+            return ExactMatrix.zero(rows, cols)
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return ExactMatrix(rows, cols, draw(
+            st.dictionaries(cells, values, max_size=2 * (rows + cols))))
+
+    r = draw(st.integers(0, 12))
+    c = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        return sparse(r, k).matmul(sparse(k, c))
+    return sparse(r, c)
+
+
+class TestCertifiedRank:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_bounded_rank_is_exact(self, m):
+        exact = exactla.rank(m)
+        assert exactla.rank(m, bound=exact) == exact
+        # a bound above the rank can never be certified: the result is the
+        # exact fallback's, not the bound
+        assert exactla.rank(m, bound=exact + 1) == exact
+
+    def test_certificate_failure_falls_back(self, monkeypatch):
+        p = exactla.RANK_PRIME
+        calls = []
+        real = exactla._sparse_echelon
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(exactla, "_sparse_echelon", spy)
+        # [[p]] has rank 0 mod p but rank 1 over Z
+        assert exactla.rank(ExactMatrix.from_rows([[p]]), bound=1) == 1
+        assert len(calls) == 1
+
+    def test_rank_prime(self):
+        p = exactla.RANK_PRIME
+        assert p < 1 << 30
+        assert all(p % d for d in range(2, int(p ** 0.5) + 1))

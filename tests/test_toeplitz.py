@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cantorext import groups, toeplitz
+from cantorext.exactla import CapExceeded
 from cantorext.groups import FiniteGroup
 
 
@@ -50,6 +51,13 @@ class TestGenerateWindow:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             toeplitz.generate_window(groups.builtin("Z2"), (0, 1), 1)
+
+    def test_window_cap(self):
+        z2 = groups.builtin("Z2")
+        assert len(toeplitz.generate_window(z2, (0, 1), 12)) == 1 << 12
+        with pytest.raises(CapExceeded) as exc:
+            toeplitz.generate_window(z2, (0, 1), 10**12)
+        assert (exc.value.size, exc.value.cap) == (10**12, 22)
 
 
 class TestConstructionIdentity:
@@ -106,6 +114,8 @@ class TestEssentialValues:
         g = groups.builtin("S5")
         with pytest.raises(ValueError):
             toeplitz.essential_values_check(g, tuple(range(120)), 8, 4)
+        with pytest.raises(CapExceeded):
+            toeplitz.essential_values_check(g, tuple(range(120)), 10**12, 4)
 
 
 class TestDefaultEnumeration:
