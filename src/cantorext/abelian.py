@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from cantorext import exactla
-from cantorext.exactla import ExactMatrix
+from cantorext.exactla import ExactMatrix, _json_int
 
 
 def _factorize(n):
@@ -134,7 +134,11 @@ class FgAbGroup:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls.from_orders(obj.get("factors", []), int(obj.get("rank", 0)))
+        factors = obj.get("factors", [])
+        if not isinstance(factors, list):
+            raise ValueError("field 'factors': expected a list of integers")
+        return cls.from_orders([_json_int(f, "factors") for f in factors],
+                               _json_int(obj.get("rank", 0), "rank"))
 
     def __str__(self):
         parts = [f"Z/{f}" for f in self.invariant_factors]

@@ -13,7 +13,7 @@ import sys
 
 from cantorext import abelian, cochain, dimlim, exactla, groups, toeplitz
 from cantorext.abelian import FgAbGroup
-from cantorext.exactla import CapExceeded, ExactMatrix
+from cantorext.exactla import CapExceeded, ExactMatrix, _json_int, _json_int_rows
 
 
 class UsageError(Exception):
@@ -32,7 +32,7 @@ def _load_json_arg(text, what):
         raw = text
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer of too many digits
         raise UsageError(f"malformed JSON for {what}: {e}")
 
 
@@ -46,23 +46,19 @@ def _parse_group(text):
     obj = _load_json_arg(text, "group")
     if not isinstance(obj, dict):
         raise UsageError("group JSON must be an object")
-    if "table" in obj:
-        table = obj["table"]
-        if not isinstance(table, list) or (
-            "order" in obj and len(table) != int(obj["order"])
-        ):
-            raise UsageError("group field 'table' disagrees with field 'order'")
-        try:
+    try:
+        if "table" in obj:
+            table = _json_int_rows(obj["table"], "table")
+            if "order" in obj and len(table) != _json_int(obj["order"], "order"):
+                raise UsageError("group field 'table' disagrees with field 'order'")
             return groups.FiniteGroup(table)
-        except ValueError as e:
-            raise UsageError(f"group field 'table' invalid: {e}")
-    if "generators" in obj:
-        if "degree" not in obj:
-            raise UsageError("group field 'degree' missing alongside 'generators'")
-        try:
-            return groups.from_permutations(int(obj["degree"]), obj["generators"])
-        except ValueError as e:
-            raise UsageError(f"group field 'generators' invalid: {e}")
+        if "generators" in obj:
+            if "degree" not in obj:
+                raise UsageError("group field 'degree' missing alongside 'generators'")
+            generators = _json_int_rows(obj["generators"], "generators")
+            return groups.from_permutations(_json_int(obj["degree"], "degree"), generators)
+    except ValueError as e:
+        raise UsageError(f"bad group: {e}")
     raise UsageError("group JSON needs field 'table' or 'generators'")
 
 
@@ -75,6 +71,8 @@ def _parse_subgroup(group, text):
         if not isinstance(obj, dict) or "elements" not in obj:
             raise UsageError("subgroup JSON needs field 'elements'")
         els = obj["elements"]
+        if not isinstance(els, list):
+            raise UsageError("subgroup field 'elements': expected a list of indices")
         for e in els:
             if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < group.order:
                 raise UsageError(f"subgroup field 'elements' has bad index {e!r}")
@@ -319,10 +317,16 @@ def build_parser():
     return p
 
 
+# built on first use and reused: each parse_args call fills a fresh namespace
+_parser = None
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:

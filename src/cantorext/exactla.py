@@ -21,6 +21,29 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
+def _json_int(value, field, strings=False):
+    """An integer field read from JSON.
+
+    A JSON integer, or with `strings` also a decimal string; floats and
+    booleans are refused rather than truncated.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if strings and isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"field {field!r}: expected an integer, got {value!r}")
+
+
+def _json_int_rows(value, field, strings=False):
+    """A JSON list of lists of integers (see _json_int), as a list of lists."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"field {field!r}: expected a list of lists of integers")
+    return [[_json_int(v, field, strings) for v in row] for row in value]
+
+
 class ExactMatrix:
     """Immutable integer matrix.
 
@@ -171,9 +194,9 @@ class ExactMatrix:
 
     @classmethod
     def from_json_obj(cls, obj):
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = [[int(v) for v in row] for row in obj["entries"]]
+        rows = _json_int(obj["rows"], "rows")
+        cols = _json_int(obj["cols"], "cols")
+        data = _json_int_rows(obj["entries"], "entries", strings=True)
         if len(data) != rows:
             raise ValueError("entries row count disagrees with 'rows'")
         return cls.from_rows(data, rows, cols)

@@ -18,17 +18,22 @@ DEFAULT_CLOSURE_CAP = 10080
 
 
 class FiniteGroup:
-    """Group given by its full multiplication table."""
+    """Group given by its full multiplication table.
+
+    Immutable: no attribute can be set after construction, so one instance
+    (a builtin group, say) can be shared by every caller.
+    """
 
     __slots__ = ("order", "mul", "inv", "name", "perms")
 
     def __init__(self, table, name=None, perms=None, check=True):
         table = tuple(tuple(row) for row in table)
         n = len(table)
-        self.order = n
-        self.mul = table
-        self.name = name
-        self.perms = perms  # defining permutations when built from them
+        init = object.__setattr__
+        init(self, "order", n)
+        init(self, "mul", table)
+        init(self, "name", name)
+        init(self, "perms", perms)  # defining permutations when built from them
         if check:
             self._validate()
         inv = [None] * n
@@ -39,7 +44,13 @@ class FiniteGroup:
                     break
             if inv[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        self.inv = tuple(inv)
+        init(self, "inv", tuple(inv))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"FiniteGroup is immutable: cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"FiniteGroup is immutable: cannot delete {attr!r}")
 
     def _validate(self):
         n = self.order
@@ -112,6 +123,8 @@ def from_permutations(degree, generators, cap=DEFAULT_CLOSURE_CAP, name=None):
     The identity gets index 0; the other elements are sorted lexicographically
     by their permutation tuples.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     ident = tuple(range(degree))
     gens = []
     for g in generators:
@@ -172,8 +185,20 @@ def _quaternion8():
     return FiniteGroup(table, name="Q8", check=False)
 
 
+BUILTIN_NAMES = tuple(
+    [f"Z{k}" for k in range(2, 13)] + ["S3", "S4", "S5", "A4", "A5", "D4", "Q8"]
+)
+
+# one shared FiniteGroup per builtin name, built on first use
+_BUILTINS = {}
+
+
 def builtin(name):
-    """Builtin groups by name: Z2..Z12, S3, S4, S5, A4, A5, D4, Q8."""
+    """Builtin groups by name: Z2..Z12, S3, S4, S5, A4, A5, D4, Q8.
+
+    Names are case-insensitive.  Each group is built once per process and the
+    same immutable instance is returned on every later call.
+    """
     name = name.strip()
     key = name.upper()
     if key.startswith("Z") and key[1:].isdigit():
@@ -182,7 +207,18 @@ def builtin(name):
             raise ValueError(
                 f"unknown builtin group {name!r}: cyclic groups range over Z2..Z12"
             )
-        return _cyclic(k)
+        key = f"Z{k}"  # one instance for Z2, Z02, ...
+    elif key not in BUILTIN_NAMES:
+        raise ValueError(f"unknown builtin group {name!r}")
+    g = _BUILTINS.get(key)
+    if g is None:
+        g = _BUILTINS[key] = _build_builtin(key)
+    return g
+
+
+def _build_builtin(key):
+    if key.startswith("Z"):
+        return _cyclic(int(key[1:]))
     if key in ("S3", "S4", "S5"):
         n = int(key[1])
         transposition = tuple([1, 0] + list(range(2, n)))
@@ -200,14 +236,7 @@ def builtin(name):
         rot = (1, 2, 3, 0)
         flip = (0, 3, 2, 1)
         return from_permutations(4, [rot, flip], name="D4")
-    if key == "Q8":
-        return _quaternion8()
-    raise ValueError(f"unknown builtin group {name!r}")
-
-
-BUILTIN_NAMES = tuple(
-    [f"Z{k}" for k in range(2, 13)] + ["S3", "S4", "S5", "A4", "A5", "D4", "Q8"]
-)
+    return _quaternion8()
 
 
 def abelianization(g: FiniteGroup):

@@ -151,20 +151,23 @@ def canonical_depth(n: int) -> int:
 
 def _greedy_closure_order(group: FiniteGroup):
     """Identity first, then greedily pick elements that enlarge the generated
-    subgroup, so generators of the whole group appear early."""
+    subgroup, so generators of the whole group appear early.
+
+    An element already in the current subgroup cannot enlarge it, and any
+    element outside it does.  So each pick is the first remaining element
+    outside the current subgroup (the first remaining element once that is
+    all of G), and the subgroup is recomputed only when it grows: at most
+    log2|G| closures in all.
+    """
     chosen = [0]
     remaining = list(range(1, group.order))
+    current = {0}
     while remaining:
-        current = group.subgroup_closure(chosen[1:]) if len(chosen) > 1 else [0]
-        pick = None
-        for e in remaining:
-            if len(group.subgroup_closure(chosen[1:] + [e])) > len(current):
-                pick = e
-                break
-        if pick is None:
-            pick = remaining[0]
+        pick = next((e for e in remaining if e not in current), remaining[0])
         chosen.append(pick)
         remaining.remove(pick)
+        if pick not in current:
+            current = set(group.subgroup_closure(chosen[1:]))
     return tuple(chosen)
 
 

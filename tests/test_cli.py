@@ -246,6 +246,115 @@ class TestToeplitz:
         assert peak < 1 << 20  # bytes; a refused window allocates nothing
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["hn-group", "--group", '{"table":[[0,"a"],[1,0]]}', "--n", "1"],
+        ["hn-group", "--group", '{"table":[[0]],"order":"x"}', "--n", "1"],
+        ["hn-group", "--group", '{"degree":3,"generators":5}', "--n", "1"],
+        ["hn-group", "--group", '{"degree":3,"generators":[5]}', "--n", "1"],
+        ["hn-group", "--group", '{"degree":3,"generators":[["a",1,2]]}', "--n", "1"],
+        ["hn-ext", "--group", "S3", "--subgroup", '{"elements":5}', "--n", "0"],
+    ])
+    def test_no_traceback(self, capsys, argv):
+        assert_usage_error(*invoke(capsys, *argv))
+
+    def test_integer_too_long_for_json(self, capsys):
+        g = '{"factors": [' + "7" * 5000 + "]}"
+        assert_usage_error(*invoke(capsys, "ext", "--g", g))
+
+
+class TestIntegerFields:
+    """JSON integer fields refuse floats and booleans instead of truncating."""
+
+    @pytest.mark.parametrize("m", [
+        {"factors": [1.5, 4], "rank": 0},
+        {"factors": [True, 4], "rank": 0},
+        {"factors": [4], "rank": 1.0},
+        {"factors": [4], "rank": False},
+        {"factors": 4},
+    ])
+    def test_fg_group_fields(self, capsys, m):
+        code, out, err = invoke(
+            capsys, "tor", "--m", json.dumps(m), "--g", json.dumps({"factors": [2]})
+        )
+        assert_usage_error(code, out, err)
+        assert "factors" in err or "rank" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", 2.0), ("rows", True), ("cols", 2.5),
+        ("entries", [[0, 2.0], [1, 1]]), ("entries", [["0", True], ["1", "1"]]),
+        ("entries", [["0", "2.0"], ["1", "1"]]),
+    ])
+    def test_matrix_fields(self, capsys, field, value):
+        a = {"rows": 2, "cols": 2, "entries": [["0", "2"], ["1", "1"]]}
+        b = json.dumps({"rows": 2, "cols": 2, "entries": [["1", "2"], ["1", "0"]]})
+        r = json.dumps({"rows": 2, "cols": 2, "entries": [[2, -2], [0, 2]]})
+        a[field] = value
+        code, out, err = invoke(
+            capsys,
+            "dimquot",
+            "--target-matrix", json.dumps(a), "--target-unit", "2,2",
+            "--source-matrix", b, "--source-unit", "2,1",
+            "--map", r,
+        )
+        assert_usage_error(code, out, err)
+        assert field in err
+
+    def test_matrix_entries_accept_numbers_and_strings(self, capsys):
+        a = json.dumps({"rows": 2, "cols": 2, "entries": [[0, "2"], ["1", 1]]})
+        b = json.dumps({"rows": 2, "cols": 2, "entries": [["1", "2"], ["1", "0"]]})
+        r = json.dumps({"rows": 2, "cols": 2, "entries": [[2, -2], [0, 2]]})
+        code, out, _ = invoke(
+            capsys,
+            "dimquot",
+            "--target-matrix", a, "--target-unit", "2,2",
+            "--source-matrix", b, "--source-unit", "2,1",
+            "--map", r,
+        )
+        assert code == 0 and out.strip() == "Z/2"
+
+    @pytest.mark.parametrize("group,field", [
+        ({"table": [[0, 1], [1, 0]], "order": 2.0}, "order"),
+        ({"table": [[0, 1], [1, 0]], "order": True}, "order"),
+        ({"table": [[0.0, 1], [1, 0]]}, "table"),
+        ({"table": [[0, True], [True, 0]]}, "table"),
+        ({"degree": 3.0, "generators": [[1, 0, 2]]}, "degree"),
+        ({"degree": True, "generators": [[0]]}, "degree"),
+        ({"degree": -1, "generators": []}, "degree"),
+        ({"degree": 3, "generators": [[1.0, 0, 2]]}, "generators"),
+        ({"degree": 2, "generators": [[True, False]]}, "generators"),
+    ])
+    def test_group_fields(self, capsys, group, field):
+        code, out, err = invoke(
+            capsys, "hn-group", "--group", json.dumps(group), "--n", "1"
+        )
+        assert_usage_error(code, out, err)
+        assert field in err
+
+
+class TestSharedParser:
+    """The parser is built once per process; no request leaks into the next."""
+
+    def test_json_flag_does_not_stick(self, capsys):
+        code, out, _ = invoke(capsys, "hn-group", "--group", "Z2", "--n", "2", "--json")
+        assert code == 0 and json.loads(out)["result"] == {"factors": [2], "rank": 0}
+        code, out, _ = invoke(capsys, "hn-group", "--group", "Z2", "--n", "2")
+        assert code == 0 and out.strip() == "Z/2"
+
+    def test_max_tuples_does_not_stick(self, capsys):
+        code, out, err = invoke(
+            capsys, "hn-group", "--group", "Z6", "--n", "4", "--max-tuples", "100"
+        )
+        assert code == 1 and out == "" and json.loads(err)["cap"] == 100
+        code, out, _ = invoke(capsys, "hn-group", "--group", "Z6", "--n", "4")
+        assert code == 0 and out.strip() == "Z/6"
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, capsys):
         runs = []

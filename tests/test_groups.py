@@ -30,6 +30,26 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             groups.builtin("M11")
 
+    def test_builtin_shared(self):
+        assert groups.builtin("s5") is groups.builtin("S5")
+        assert groups.builtin(" z2 ") is groups.builtin("Z2") is groups.builtin("Z02")
+        assert groups.builtin("Z2").name == "Z2"
+
+    @pytest.mark.parametrize("attr", ["mul", "name", "order", "inv", "perms", "extra"])
+    def test_immutable(self, attr):
+        g = groups.builtin("S3")
+        before = (g.order, g.mul, g.inv, g.name, g.perms)
+        with pytest.raises(AttributeError):
+            setattr(g, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(g, attr)
+        assert (g.order, g.mul, g.inv, g.name, g.perms) == before
+        assert groups.builtin("S3") is g
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            from_permutations(-1, [])
+
     def test_identity_and_inverses(self):
         for name in ("Z6", "S4", "Q8", "A5"):
             g = groups.builtin(name)

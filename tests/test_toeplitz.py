@@ -136,6 +136,32 @@ class TestDefaultEnumeration:
         assert toeplitz.canonical_depth(120) == 12
 
 
+def quadratic_greedy_order(group):
+    """The greedy order by brute force: at every step, the first remaining
+    element whose addition strictly enlarges the generated subgroup."""
+    chosen = [0]
+    remaining = list(range(1, group.order))
+    while remaining:
+        current = group.subgroup_closure(chosen[1:]) if len(chosen) > 1 else [0]
+        pick = None
+        for e in remaining:
+            if len(group.subgroup_closure(chosen[1:] + [e])) > len(current):
+                pick = e
+                break
+        if pick is None:
+            pick = remaining[0]
+        chosen.append(pick)
+        remaining.remove(pick)
+    return tuple(chosen)
+
+
+class TestGreedyClosureOrder:
+    @pytest.mark.parametrize("name", groups.BUILTIN_NAMES)
+    def test_matches_quadratic_oracle(self, name):
+        g = groups.builtin(name)
+        assert toeplitz._greedy_closure_order(g) == quadratic_greedy_order(g)
+
+
 class TestRegularity:
     def test_densities(self):
         g = groups.builtin("Z3")
