@@ -12,19 +12,67 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from cantorext import exactla
-from cantorext.exactla import ExactMatrix, _json_int
+from cantorext.exactla import CapExceeded, ExactMatrix, _json_int
+
+# Largest free rank read from JSON: Tor and Ext work on matrices whose side
+# grows with it, so a larger rank is refused before any is built.
+MAX_JSON_RANK = 256
+
+# trial division tries the divisors below this bound, then gcd refinement
+_TRIAL_DIVISION_BOUND = 1 << 10
 
 
-def _factorize(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+def _coprime_factorizations(orders):
+    """Each order (>= 2) as {base: exponent} over one pairwise coprime base.
+
+    Trial division by 2, 3, ... below _TRIAL_DIVISION_BOUND stops once p^2
+    exceeds what is left, so small orders cost a few divisions (a composite p
+    never divides, its primes being gone).  The leftover cofactors have no
+    prime factor below the last p tried, and are refined by gcds into
+    a pairwise coprime base (Bach, Driscoll and Shallit, "Factor refinement",
+    J. Algorithms 1993): every step divides the product of the pending
+    numbers by a gcd > 1, so there are at most log2 of it.  Base elements are
+    not always prime, but the invariant factors only need the base to be
+    coprime: for each base b, every prime of b sees the exponents of b scaled
+    by one constant, so they sort alike.
+    """
+    out = []
+    leftovers = []
+    for n in orders:
+        f = {}
+        for p in range(2, _TRIAL_DIVISION_BOUND):
+            if p * p > n:
+                break
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                f[p] = e
+        out.append(f)
+        leftovers.append(n)
+    base = []
+    work = [n for n in leftovers if n > 1]
+    while work:
+        x = work.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                work.extend(y for y in (b // g, g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    for f, n in zip(out, leftovers):
+        for b in base:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            if e:
+                f[b] = e
+        if n != 1:
+            raise AssertionError("an order does not factor over the coprime base")
     return out
 
 
@@ -67,18 +115,17 @@ class FgAbGroup:
     def from_orders(cls, orders, free_rank=0):
         """Canonicalize an arbitrary list of cyclic orders (0 meaning Z)."""
         rank = free_rank
-        primary = {}  # prime -> list of exponents
+        finite = []
         for n in orders:
-            n = int(n)
-            if n < 0:
-                n = -n
+            n = abs(int(n))
             if n == 0:
                 rank += 1
-                continue
-            if n == 1:
-                continue
-            for p, e in _factorize(n).items():
-                primary.setdefault(p, []).append(e)
+            elif n > 1:
+                finite.append(n)
+        primary = {}  # coprime base element -> list of exponents
+        for f in _coprime_factorizations(finite):
+            for b, e in f.items():
+                primary.setdefault(b, []).append(e)
         k = max((len(v) for v in primary.values()), default=0)
         factors = [1] * k
         for p, exps in primary.items():
@@ -137,8 +184,12 @@ class FgAbGroup:
         factors = obj.get("factors", [])
         if not isinstance(factors, list):
             raise ValueError("field 'factors': expected a list of integers")
-        return cls.from_orders([_json_int(f, "factors") for f in factors],
-                               _json_int(obj.get("rank", 0), "rank"))
+        factors = [_json_int(f, "factors") for f in factors]
+        rank = _json_int(obj.get("rank", 0), "rank")
+        if rank > MAX_JSON_RANK:
+            raise CapExceeded(f"rank exceeds the cap of {MAX_JSON_RANK}",
+                              size=rank, cap=MAX_JSON_RANK)
+        return cls.from_orders(factors, rank)
 
     def __str__(self):
         parts = [f"Z/{f}" for f in self.invariant_factors]

@@ -435,23 +435,18 @@ def _sparse_echelon(m: ExactMatrix) -> list:
 RANK_PRIME = 1_073_741_789
 
 
-def rank(m: ExactMatrix, bound=None) -> int:
-    """Exact rank of m.
-
-    Without ``bound`` this is sparse unimodular row elimination over Z.  A
-    ``bound`` is the caller's proof that rank(m) <= bound.  The rows of m are
-    then streamed through an elimination mod RANK_PRIME that stops as soon as
-    the rank mod p reaches ``bound``.  A rank mod p never exceeds the rational
-    rank, so reaching the bound certifies rank(m) == bound.  When the rank mod
-    p stays below it, the exact elimination decides.
-    """
-    if bound is not None and _rank_mod_p_reaches(m, bound):
-        return bound
+def rank(m: ExactMatrix) -> int:
+    """Exact rank of m, by sparse unimodular row elimination over Z."""
     return len(_sparse_echelon(m))
 
 
-def _rank_mod_p_reaches(m: ExactMatrix, bound: int) -> bool:
-    """Whether the rank of m mod RANK_PRIME reaches bound, rows streamed in order.
+def rank_reaches(rows, bound: int) -> bool:
+    """Whether the rows, {col: value} dicts streamed in order, reach rank bound mod p.
+
+    A rank mod RANK_PRIME never exceeds the rational rank, so given the
+    caller's proof that the rank is at most ``bound``, True certifies that it
+    equals ``bound``.  Reading stops at the row that reaches it; False means
+    every row was read and the exact ``rank`` must decide.
 
     Pivots are keyed by column and each row pivots on its largest column, so a
     reduced row only ever gains entries to the left of the pivot it meets;
@@ -462,7 +457,7 @@ def _rank_mod_p_reaches(m: ExactMatrix, bound: int) -> bool:
     p = RANK_PRIME
     found = 0
     pivots = {}  # leading column -> rest of the row, scaled to leading entry 1
-    for r in m.row_dicts():
+    for r in rows:
         row = {j: v % p for j, v in r.items() if v % p}
         while row:
             j = max(row)

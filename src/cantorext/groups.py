@@ -16,6 +16,10 @@ from cantorext.exactla import CapExceeded
 
 DEFAULT_CLOSURE_CAP = 10080
 
+# Largest permutation degree accepted: each permutation is a tuple of this
+# length, so a larger degree is refused before the identity is allocated.
+MAX_DEGREE = 256
+
 
 class FiniteGroup:
     """Group given by its full multiplication table.
@@ -125,6 +129,9 @@ def from_permutations(degree, generators, cap=DEFAULT_CLOSURE_CAP, name=None):
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    if degree > MAX_DEGREE:
+        raise CapExceeded(f"degree exceeds the cap of {MAX_DEGREE}",
+                          size=degree, cap=MAX_DEGREE)
     ident = tuple(range(degree))
     gens = []
     for g in generators:

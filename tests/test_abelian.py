@@ -1,12 +1,53 @@
 """Unit tests for finitely generated abelian groups and their functors."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorext import abelian, exactla
 from cantorext.abelian import AbHom, FgAbGroup
 from cantorext.exactla import ExactMatrix
+
+
+def trial_division_from_orders(orders, free_rank=0):
+    """Canonical form through prime factorization by plain trial division."""
+    primary = {}
+    for n in orders:
+        n = abs(n)
+        if n == 0:
+            free_rank += 1
+            continue
+        p = 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                primary.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            primary.setdefault(n, []).append(1)
+    k = max((len(v) for v in primary.values()), default=0)
+    factors = [1] * k
+    for p, exps in primary.items():
+        for i, e in enumerate(sorted(exps, reverse=True)):
+            factors[k - 1 - i] *= p ** e
+    return FgAbGroup(tuple(factors), free_rank)
+
+
+@st.composite
+def factored_orders(draw):
+    """Products of small primes and of primes above the trial-division bound,
+    shared between the orders of one list so the gcd refinement has work."""
+    pool = (2, 3, 5, 7, 1021, 1031, 1033, 2039, 4093)
+    n = 1
+    for p in pool:
+        n *= p ** draw(st.integers(0, 2 if p < 1024 else 3))
+    return n
 
 
 class TestCanonicalForm:
@@ -15,6 +56,22 @@ class TestCanonicalForm:
         assert FgAbGroup.from_orders([2, 3]) == FgAbGroup((6,))
         assert FgAbGroup.from_orders([0, 2]) == FgAbGroup((2,), 1)
         assert FgAbGroup.from_orders([1, 1]).is_trivial
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-50, 200), factored_orders()), max_size=6),
+           st.integers(0, 2))
+    def test_from_orders_matches_trial_division(self, orders, free_rank):
+        assert FgAbGroup.from_orders(orders, free_rank) == \
+            trial_division_from_orders(orders, free_rank)
+
+    def test_from_orders_large_primes(self):
+        p, q = 1_000_000_000_000_000_003, 1_000_000_007
+        start = time.perf_counter()
+        assert FgAbGroup.from_orders([p]) == FgAbGroup((p,))
+        assert FgAbGroup.from_orders([p * q, p, 4]) == FgAbGroup((p, 4 * p * q))
+        assert FgAbGroup.from_orders([p ** 2 * q, p * q ** 3]) == \
+            FgAbGroup((p * q, p * q ** 3 * p))
+        assert time.perf_counter() - start < 1.0
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -134,6 +135,13 @@ class TestTorExt:
             capsys, "ext", "--g", json.dumps({"factors": [2, 4], "rank": 0})
         )
         assert code == 0 and out.strip() == "Z/2 + Z/4"
+
+    def test_ext_large_prime_answers(self, capsys):
+        p = 1_000_000_000_000_000_003
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "ext", "--g", json.dumps({"factors": [p]}))
+        assert code == 0 and out.strip() == f"Z/{p}"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMorse:
@@ -335,6 +343,39 @@ class TestIntegerFields:
         )
         assert_usage_error(code, out, err)
         assert field in err
+
+
+class TestSizeFields:
+    """`rank` and `degree` above 256 are refused before anything is allocated."""
+
+    def assert_refused(self, code, out, err, size):
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": size, "cap": 256}
+
+    @pytest.mark.parametrize("rank", [257, 10 ** 400])
+    def test_rank(self, capsys, rank):
+        code, out, err = invoke(
+            capsys, "tor", "--m", json.dumps({"factors": [], "rank": rank}),
+            "--g", json.dumps({"factors": [2]}),
+        )
+        self.assert_refused(code, out, err, rank)
+
+    @pytest.mark.parametrize("degree", [257, 10 ** 400])
+    def test_degree(self, capsys, degree):
+        group = json.dumps({"degree": degree, "generators": []})
+        code, out, err = invoke(capsys, "hn-group", "--group", group, "--n", "1")
+        self.assert_refused(code, out, err, degree)
+
+    def test_cap_values_accepted(self, capsys):
+        code, out, _ = invoke(
+            capsys, "tor", "--m", json.dumps({"factors": [], "rank": 256}),
+            "--g", json.dumps({"factors": [2]}),
+        )
+        assert code == 0 and out.strip() == "0"
+        group = json.dumps({"degree": 256, "generators": []})
+        code, out, _ = invoke(capsys, "hn-group", "--group", group, "--n", "0")
+        assert code == 0 and out.strip() == "Z"
 
 
 class TestSharedParser:

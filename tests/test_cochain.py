@@ -4,7 +4,7 @@ import pytest
 
 from cantorext import cochain, exactla, groups
 from cantorext.abelian import FgAbGroup
-from cantorext.exactla import CapExceeded
+from cantorext.exactla import CapExceeded, ExactMatrix
 from cantorext.groups import coset_space
 
 
@@ -64,6 +64,71 @@ class TestDifferential:
         cochain.differential_matrix(k, 2)
 
 
+def face_entries_oracle(k, n):
+    """d_n built by slicing each representative tuple, one face at a time."""
+    src = groups.OrbitStructure(k, n)
+    dst = groups.OrbitStructure(k, n + 1)
+    entries = {}
+    for i, rep in enumerate(dst.reps()):
+        sign = 1
+        for j in range(len(rep)):
+            o = src.index(rep[:j] + rep[j + 1:])
+            entries[(i, o)] = entries.get((i, o), 0) + sign
+            sign = -sign
+    return ExactMatrix(dst.count, src.count, entries)
+
+
+def test_differential_matches_tuple_slicing_oracle():
+    for name in groups.BUILTIN_NAMES:
+        g = groups.builtin(name)
+        for h in ([], [1], range(1, g.order)):
+            k = coset_space(g, h)
+            for n in range(1, 7):
+                if k.size ** n > 20_000:
+                    break
+                assert cochain.differential_matrix(k, n) == face_entries_oracle(k, n), \
+                    (name, len(k.subgroup), n)
+
+
+class LastCodeSwapped(list):
+    """Representative codes whose iteration, which the row kernel reads,
+    yields a wrong last code, while indexing (``OrbitStructure.rep``) does not."""
+
+    def __iter__(self):
+        yield from self[:-1]
+        yield self[0]
+
+
+def test_rows_after_early_exit_are_validated(monkeypatch):
+    # d_3 over the non-regular K = D4/<5>, whose rank is certified early
+    d4 = groups.builtin("D4")
+    k = coset_space(d4, [5])
+    assert not k.is_regular
+    streamed = []
+    real_reaches = exactla.rank_reaches
+
+    def rank_reaches(rows, bound):
+        def counted():
+            for row in rows:
+                streamed.append(row)
+                yield row
+        return real_reaches(counted(), bound)
+
+    monkeypatch.setattr(exactla, "rank_reaches", rank_reaches)
+    assert cochain.homology_at(k, 3) == FgAbGroup((2, 2))
+    assert 0 < len(streamed) < groups.OrbitStructure(k, 4).count
+
+    class Corrupted(groups.OrbitStructure):
+        def __init__(self, space, n, cap):
+            super().__init__(space, n, cap)
+            if n == 4:
+                self._reps = LastCodeSwapped(self._reps)
+
+    monkeypatch.setattr(cochain, "OrbitStructure", Corrupted)
+    with pytest.raises(AssertionError, match="representative choice"):
+        cochain.homology_at(k, 3)
+
+
 class TestHomologyAt:
     def test_level_one_is_z(self):
         k = coset_space(groups.builtin("Z3"), [])
@@ -98,28 +163,12 @@ class TestHomologyAt:
 
 @pytest.fixture
 def exact_rank_fallback_raises(monkeypatch):
-    """Make exactla.rank raise if it reaches its exact fallback.
+    """Make exactla.rank, the exact fallback of homology_at, raise."""
 
-    snf_diagonal shares the exact echelon, so only calls made inside rank are
-    refused.
-    """
-    real_rank, real_echelon = exactla.rank, exactla._sparse_echelon
-    inside_rank = []
-
-    def rank(m, bound=None):
-        inside_rank.append(m)
-        try:
-            return real_rank(m, bound)
-        finally:
-            inside_rank.pop()
-
-    def echelon(m):
-        if inside_rank:
-            raise AssertionError("exact rank fallback reached")
-        return real_echelon(m)
+    def rank(m):
+        raise AssertionError("exact rank fallback reached")
 
     monkeypatch.setattr(exactla, "rank", rank)
-    monkeypatch.setattr(exactla, "_sparse_echelon", echelon)
 
 
 class TestCertifiedRank:

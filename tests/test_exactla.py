@@ -246,29 +246,52 @@ def sparse_matrices(draw):
     return sparse(r, c)
 
 
+def dense_rank_mod_p(m):
+    """Rank of m mod RANK_PRIME by dense Gaussian elimination."""
+    p = exactla.RANK_PRIME
+    a = [[v % p for v in row] for row in m.to_rows()]
+    r = 0
+    for j in range(m.cols):
+        i = next((i for i in range(r, m.rows) if a[i][j]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][j], -1, p)
+        for i in range(r + 1, m.rows):
+            f = a[i][j] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
 class TestCertifiedRank:
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
     def test_bounded_rank_is_exact(self, m):
         exact = exactla.rank(m)
-        assert exactla.rank(m, bound=exact) == exact
-        # a bound above the rank can never be certified: the result is the
-        # exact fallback's, not the bound
-        assert exactla.rank(m, bound=exact + 1) == exact
+        mod_p = dense_rank_mod_p(m)
+        assert mod_p <= exact
+        # the exact rank as bound is reached unless p kills a pivot
+        assert exactla.rank_reaches(m.row_dicts(), exact) == (mod_p == exact)
+        assert exactla.rank_reaches(m.row_dicts(), mod_p)
+        # a bound above the rank is never reached mod p
+        assert not exactla.rank_reaches(m.row_dicts(), exact + 1)
 
-    def test_certificate_failure_falls_back(self, monkeypatch):
-        p = exactla.RANK_PRIME
-        calls = []
-        real = exactla._sparse_echelon
+    def test_certificate_failure_falls_back(self):
+        # [[p]] has rank 0 mod p but rank 1 over Z: the certificate fails and
+        # only the exact rank sees the pivot
+        m = ExactMatrix.from_rows([[exactla.RANK_PRIME]])
+        assert not exactla.rank_reaches(m.row_dicts(), 1)
+        assert exactla.rank(m) == 1
 
-        def spy(m):
-            calls.append(m)
-            return real(m)
+    def test_stops_at_bound(self):
+        def rows():
+            yield {0: 1}
+            yield {0: 2}  # dependent: the rank stays 1
+            yield {1: 3}
+            raise AssertionError("read past the row that reaches the bound")
 
-        monkeypatch.setattr(exactla, "_sparse_echelon", spy)
-        # [[p]] has rank 0 mod p but rank 1 over Z
-        assert exactla.rank(ExactMatrix.from_rows([[p]]), bound=1) == 1
-        assert len(calls) == 1
+        assert exactla.rank_reaches(rows(), 2)
 
     def test_rank_prime(self):
         p = exactla.RANK_PRIME
