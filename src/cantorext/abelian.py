@@ -14,9 +14,15 @@ from math import gcd
 from cantorext import exactla
 from cantorext.exactla import CapExceeded, ExactMatrix, _json_int
 
-# Largest free rank read from JSON: Tor and Ext work on matrices whose side
-# grows with it, so a larger rank is refused before any is built.
+# Largest free rank, and longest factors list, read from JSON: Tor and Ext
+# work on matrices whose side grows with them, so more is refused before any
+# is built.
 MAX_JSON_RANK = 256
+
+# Largest (generators of m) x (factors of g) that tor accepts: its resolution
+# matrices have that side and go through the dense kernel_basis, so the work
+# grows with its cube.  At the cap the slowest shapes answer in about 1 s.
+MAX_TOR_SIZE = 256
 
 # trial division tries the divisors below this bound, then gcd refinement
 _TRIAL_DIVISION_BOUND = 1 << 10
@@ -185,6 +191,9 @@ class FgAbGroup:
         if not isinstance(factors, list):
             raise ValueError("field 'factors': expected a list of integers")
         factors = [_json_int(f, "factors") for f in factors]
+        if len(factors) > MAX_JSON_RANK:
+            raise CapExceeded(f"factors list exceeds the cap of {MAX_JSON_RANK}",
+                              size=len(factors), cap=MAX_JSON_RANK)
         rank = _json_int(obj.get("rank", 0), "rank")
         if rank > MAX_JSON_RANK:
             raise CapExceeded(f"rank exceeds the cap of {MAX_JSON_RANK}",
@@ -309,13 +318,19 @@ def tor(m: FgAbGroup, g: FgAbGroup) -> FgAbGroup:
     """Tor(m, g) for finite g via the kernel of A (x) m -> B (x) m.
 
     Resolution 0 -> Z^k --diag--> Z^k -> g -> 0; tensoring with m and taking
-    the kernel of the induced map realizes Tor.
+    the kernel of the induced map realizes Tor.  The matrices have side
+    (generators of m) x k; above MAX_TOR_SIZE that is refused before any is
+    built.
     """
     if not g.is_finite:
         raise ValueError("tor requires finite second argument")
     k = len(g.invariant_factors)
     if k == 0:
         return FgAbGroup.trivial()
+    s = m.generator_count()
+    if s * k > MAX_TOR_SIZE:
+        raise CapExceeded(f"tor size {s} x {k} exceeds the cap of {MAX_TOR_SIZE}",
+                          size=s * k, cap=MAX_TOR_SIZE)
     s, m_rel = _presentation(m)
     if s == 0:
         return FgAbGroup.trivial()

@@ -8,6 +8,7 @@ internal, callers only see n.
 from __future__ import annotations
 
 from collections import deque
+from itertools import tee
 
 from cantorext import exactla
 from cantorext.abelian import FgAbGroup
@@ -26,60 +27,60 @@ def differential_matrix(k: CosetSpace, n: int, cap=DEFAULT_TUPLE_CAP,
     row is recomputed on a second orbit member as a representative-
     independence check (invariance makes this automatic for regular spaces).
     """
-    rows, cols, row_iter = _differential_rows(k, n, cap, validate)
+    src = OrbitStructure(k, n, cap=cap)
+    dst = OrbitStructure(k, n + 1, cap=cap)
+    return _matrix(dst.count, src.count, _differential_rows(k, src, dst, validate))
+
+
+def _matrix(rows, cols, row_iter) -> ExactMatrix:
     return ExactMatrix(rows, cols, {
         (i, o): v for i, row in enumerate(row_iter) for o, v in row.items()
     })
 
 
-def _differential_rows(k: CosetSpace, n: int, cap, validate=None):
-    """(rows, cols, generator of the rows) of d_n, rows as {col: value} dicts.
+def _differential_rows(k: CosetSpace, src: OrbitStructure, dst: OrbitStructure,
+                       validate=None):
+    """Generator of the rows of d_n from level n = src.n to dst.n = n + 1.
 
-    The rows come in representative order.  A representative of level n+1 is
-    (0, t_1..t_n) with tail code c = sum of t_i |K|^(n-i).  Face j >= 1 keeps
-    the first entry 0, and the move to 0 from 0 (``src._to_base[0]``) is the
-    identity, so its tail code is c with digit t_j deleted:
-    c // (P |K|) * P + c % P with P = |K|^(n-j).  Only face 0 is moved to
-    first entry 0, by the coset element for t_1.
-    The orbit structures are built before the generator is returned.
+    The rows are {col: value} dicts in representative order.  A
+    representative of level n+1 is (0, t_1..t_n) with tail code
+    c = sum of t_i |K|^(n-i).  Face j >= 1 keeps the first entry 0, and the
+    move to 0 from 0 (``src._to_base[0]``) is the identity, so its tail code
+    is c with digit t_j deleted: c // (P |K|) * P + c % P with P = |K|^(n-j).
+    Only face 0 is moved to first entry 0, by the coset element for t_1.
     """
-    src = OrbitStructure(k, n, cap=cap)
-    dst = OrbitStructure(k, n + 1, cap=cap)
     if validate is None:
         validate = not k.is_regular
+    n = src.n
     size = k.size
     table, to_base = src._table, src._to_base
     lead = size ** (n - 1)  # place value of t_1
     digits = [size ** e for e in range(n - 2, -1, -1)]  # place values of t_2..t_n
     cuts = [(size ** (n - j + 1), size ** (n - j)) for j in range(1, n + 1)]
-
-    def rows():
-        for i, c in enumerate(dst._reps):
-            t1, tail = divmod(c, lead)
-            a = to_base[t1]
-            code = 0
-            for d in digits:
-                code = code * size + a[tail // d % size]
-            row = {table[code]: 1}
-            sign = -1
-            for high, low in cuts:
-                o = table[c // high * low + c % low]
-                row[o] = row.get(o, 0) + sign
-                sign = -sign
-            row = {o: v for o, v in row.items() if v}
-            if validate:
-                rep = dst.rep(i)
-                other = None
-                for g in range(1, k.group.order):
-                    moved = k.act_tuple(g, rep)
-                    if moved != rep:
-                        other = moved
-                        break
-                if other is not None and _face_entries(src, other) != row:
-                    raise AssertionError("differential depends on representative choice")
-            yield row
-
-    return dst.count, src.count, rows()
+    for i, c in enumerate(dst._reps):
+        t1, tail = divmod(c, lead)
+        a = to_base[t1]
+        code = 0
+        for d in digits:
+            code = code * size + a[tail // d % size]
+        row = {table[code]: 1}
+        sign = -1
+        for high, low in cuts:
+            o = table[c // high * low + c % low]
+            row[o] = row.get(o, 0) + sign
+            sign = -sign
+        row = {o: v for o, v in row.items() if v}
+        if validate:
+            rep = dst.rep(i)
+            other = None
+            for g in range(1, k.group.order):
+                moved = k.act_tuple(g, rep)
+                if moved != rep:
+                    other = moved
+                    break
+            if other is not None and _face_entries(src, other) != row:
+                raise AssertionError("differential depends on representative choice")
+        yield row
 
 
 def _face_entries(src: OrbitStructure, tup) -> dict:
@@ -93,43 +94,112 @@ def _face_entries(src: OrbitStructure, tup) -> dict:
     return {o: v for o, v in ent.items() if v}
 
 
+def _prime_powers(n: int) -> list:
+    """[(p, v_p(n))] over the primes p dividing n, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
-    """ker(d_m)/im(d_(m-1)) of the invariant chain over K, building only d_(m-1).
+    """ker(d_m)/im(d_(m-1)) of the invariant chain over K, by certified streams.
 
     d_0 is understood as the zero map into I(K).  Since ker(d_m) is saturated,
     Z^n/ker is free and the torsion of the homology equals the torsion of
-    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).
+    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).  The
+    orbit structures of levels m-2..m+1 are built once and feed the rows of
+    d_(m-2), d_(m-1) and d_m, generated one at a time as {col: value} dicts.
 
-    The invariant factors of d_(m-1) come first, because their count is
-    rank(d_(m-1)).  Since d_m . d_(m-1) = 0, rank(d_m) <= n_m - rank(d_(m-1)),
-    and a rank mod p is at most the rational rank, so a rank of d_m mod p that
-    reaches this bound proves it exact (``exactla.rank_reaches``).  The rows
-    of d_m are generated one at a time and streamed into it, so d_m is never
-    built as a matrix, and the rows after the one that reaches the bound are
-    only generated when the representative-independence check needs them
-    (non-regular K).  The bound is reached when the homology at m is torsion
-    and p divides no invariant factor of d_m, which is the torsion one level
-    up.  Every H^n(X|Y) is torsion and |G| annihilates it (Brown III.10 for
-    group cohomology), so the prime of ``exactla``, above |G|, certifies every
-    level but the first.  At level 1, H^0 = Z is free: the bound is out of
-    reach, and d_1 is built for the exact ``exactla.rank``.
+    Transfer.  The invariant chain sits inside the cochain complex of all
+    functions on K, K^2, ..., which is acyclic above level 1 (the simplex on
+    K is contractible), and summing over G maps it back; inclusion followed
+    by the sum is multiplication by |G| on the invariant chain.  So |G|
+    annihilates its homology above level 1 (Brown, Cohomology of Groups,
+    III.10, for group cohomology): every H^n(X|Y) and H^n(G), n >= 1, is
+    torsion, its primes divide |G| and v_p of each factor is at most
+    v_p(|G|).
+
+    Torsion and rank of d_(m-1), certified.  A rank mod a prime never exceeds
+    the rational rank, so r_low, the rank of d_(m-2) mod ``exactla.RANK_PRIME``
+    (0 at m = 2, as d_0 = 0), is a lower bound on rank(d_(m-2)), and since
+    d_(m-1) . d_(m-2) = 0, U = n_(m-1) - r_low is an upper bound on
+    rank(d_(m-1)).  For each prime p of |G| the rows of d_(m-1) are
+    eliminated over Z/p^e, e = v_p(|G|) + 1
+    (``exactla.local_invariant_counts``), which counts its invariant factors
+    of each valuation v < e.  If the counts of every prime sum to U, the rank
+    is U and every p-part is exact, so with the transfer the torsion is
+    known.  A prime that divides no factor reaches U at valuation 0 and stops
+    reading rows there.  Any shortfall falls back to the exact
+    ``exactla.snf_diagonal``: at level 2, where H^0 = Z leaves U out of
+    reach, and for the trivial group, which has no prime.
+
+    Rank of d_m, certified.  Since d_m . d_(m-1) = 0,
+    rank(d_m) <= n_m - rank(d_(m-1)), and a rank mod p that reaches this bound
+    proves it exact (``exactla.rank_reaches``).  The rows of d_m are streamed
+    into it, so d_m is never built, and the rows after the one that reaches
+    the bound are only generated when the representative-independence check
+    needs them (non-regular K).  The bound is reached when p divides no
+    invariant factor of d_m, which holds for the prime of ``exactla``, above
+    |G|, at every level but the first.  At level 1 the bound is out of reach,
+    and d_1 is built for the exact ``exactla.rank``.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    levels = {n: OrbitStructure(k, n, cap=cap) for n in range(max(m - 2, 1), m + 2)}
+    validate = not k.is_regular
+
+    def rows(n):  # the rows of d_n
+        return _differential_rows(k, levels[n], levels[n + 1], validate)
+
     if m == 1:
         torsion = []
         rank_in = 0
     else:
-        diag = exactla.snf_diagonal(differential_matrix(k, m - 1, cap=cap))
-        torsion = [d for d in diag if d > 1]
-        rank_in = len(diag)
-    _, n_m, rows = _differential_rows(k, m, cap)
-    if exactla.rank_reaches(rows, n_m - rank_in):
+        torsion, rank_in = _torsion_and_rank(levels, m, rows, k.group.order, validate)
+    n_m = levels[m].count
+    d_m = rows(m)
+    if exactla.rank_reaches(d_m, n_m - rank_in):
         rank_out = n_m - rank_in
-        if not k.is_regular:
-            deque(rows, maxlen=0)  # validate the rows after the early exit too
+        if validate:
+            deque(d_m, maxlen=0)  # validate the rows after the early exit too
     else:
-        rank_out = exactla.rank(differential_matrix(k, m, cap=cap))
+        rank_out = exactla.rank(_matrix(levels[m + 1].count, n_m, rows(m)))
     free = n_m - rank_out - rank_in
     return FgAbGroup.from_orders(torsion, free_rank=free)
+
+
+def _torsion_and_rank(levels, m, rows, group_order, validate):
+    """(torsion orders, rank) of d_(m-1), by the certificate of ``homology_at``."""
+    n_prev = levels[m - 1].count
+    r_low = 0 if m == 2 else exactla.rank_mod_p(rows(m - 2), levels[m - 2].count)
+    bound = n_prev - r_low
+    primes = _prime_powers(group_order)
+    # every prime reads the rows from the start, and each row is generated once
+    d_prev = tee(rows(m - 1), len(primes) + 1)
+    torsion = []
+    certified = bool(primes)
+    for (p, e), stream in zip(primes, d_prev):
+        counts = exactla.local_invariant_counts(stream, p, e + 1, bound)
+        if sum(counts) != bound:
+            certified = False
+            break
+        torsion += [p ** v for v, c in enumerate(counts) for _ in range(c) if v]
+    if not certified:
+        diag = exactla.snf_diagonal(_matrix(levels[m].count, n_prev, d_prev[-1]))
+        return [d for d in diag if d > 1], len(diag)
+    if validate:
+        deque(d_prev[-1], maxlen=0)  # validate the rows no prime read too
+    return torsion, bound
 
 
 def group_cohomology(g: FiniteGroup, n: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:

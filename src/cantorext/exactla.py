@@ -440,6 +440,83 @@ def rank(m: ExactMatrix) -> int:
     return len(_sparse_echelon(m))
 
 
+def _stream_pivots(rows, p, q, stop, pivots, aside=None) -> int:
+    """Eliminate streamed {col: value} rows mod q = p^e against unit pivots.
+
+    Each row is reduced from its largest column down.  At a pivot column the
+    pivot row is subtracted; otherwise a unit entry (prime to p) makes the
+    row a new pivot there, so every row pivots on its largest unit column,
+    and a non-unit is set apart in ``rest`` and the walk goes on below it.
+    A reduced row thus only gains entries to the left of the pivot it meets;
+    pivoting on the smallest column fills in far more on the differentials.
+    ``pivots`` is a pair of dicts keyed by pivot column, updated in place:
+    the entries of the pivot row below its column, scaled to 1 at the
+    column, and, when there are any, those above it.  The entries above were
+    set apart, so they are multiples of p: subtracting a pivot only adds
+    units to the left of its column, and mod p this is the echelon
+    elimination of a field.
+
+    Returns the number of new pivots, and stops reading rows as soon as that
+    reaches ``stop`` (None: read them all).  A row left without a unit
+    entry, so a multiple of p, is appended to ``aside`` when one is given.
+    For q = p prime every entry is a unit: nothing is set apart and the count
+    is the rank mod p of the rows read.
+    """
+    below_of, above_of = pivots
+    found = 0
+    for r in rows:
+        row = {j: v % q for j, v in r.items() if v % q}
+        rest = None
+        while row:
+            j = max(row)
+            c = row.pop(j)
+            piv = below_of.get(j)
+            if piv is None:
+                if c % p:
+                    inv = pow(c, -1, q)
+                    below_of[j] = {k: v * inv % q for k, v in row.items()}
+                    if rest:
+                        above_of[j] = {k: v * inv % q for k, v in rest.items()}
+                    found += 1
+                    if found == stop:
+                        return found
+                    break
+                if rest is None:
+                    rest = {}
+                rest[j] = c
+                continue
+            for k, v in piv.items():
+                w = (row.get(k, 0) - c * v) % q
+                if w:
+                    row[k] = w
+                elif k in row:
+                    del row[k]
+            piv = above_of.get(j) if above_of else None
+            if piv:
+                if rest is None:
+                    rest = {}
+                for k, v in piv.items():
+                    w = (rest.get(k, 0) - c * v) % q
+                    if w:
+                        rest[k] = w
+                    elif k in rest:
+                        del rest[k]
+        else:
+            if rest and aside is not None:
+                aside.append(rest)
+    return found
+
+
+def rank_mod_p(rows, stop=None) -> int:
+    """Rank mod RANK_PRIME of {col: value} rows streamed in order.
+
+    It is a lower bound on the rational rank.  Reading stops at the row that
+    brings it to ``stop``.
+    """
+    p = RANK_PRIME
+    return _stream_pivots(rows, p, p, stop, ({}, {}))
+
+
 def rank_reaches(rows, bound: int) -> bool:
     """Whether the rows, {col: value} dicts streamed in order, reach rank bound mod p.
 
@@ -447,36 +524,45 @@ def rank_reaches(rows, bound: int) -> bool:
     caller's proof that the rank is at most ``bound``, True certifies that it
     equals ``bound``.  Reading stops at the row that reaches it; False means
     every row was read and the exact ``rank`` must decide.
-
-    Pivots are keyed by column and each row pivots on its largest column, so a
-    reduced row only ever gains entries to the left of the pivot it meets;
-    pivoting on the smallest column fills in far more on the differentials.
     """
-    if bound <= 0:
-        return True
-    p = RANK_PRIME
-    found = 0
-    pivots = {}  # leading column -> rest of the row, scaled to leading entry 1
-    for r in rows:
-        row = {j: v % p for j, v in r.items() if v % p}
-        while row:
-            j = max(row)
-            c = row.pop(j)
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(c, -1, p)
-                pivots[j] = {k: v * inv % p for k, v in row.items()}
-                found += 1
-                if found == bound:
-                    return True
-                break
-            for k, v in piv.items():
-                w = (row.get(k, 0) - c * v) % p
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]  # w == 0 needs row[k] present: c, v are units
-    return False
+    return bound <= 0 or rank_mod_p(rows, bound) == bound
+
+
+def local_invariant_counts(rows, p: int, e: int, stop: int) -> list:
+    """How many invariant factors of the streamed rows have p-adic valuation v.
+
+    Entry v of the list, for v = 0..e-1, counts the invariant factors d with
+    v_p(d) = v, by an elimination over Z/p^e one valuation level at a time:
+    the rows are streamed against unit pivots (``_stream_pivots``), the rows
+    set apart as multiples of p are reduced again against the final pivots
+    (a pivot found after a row was set apart may sit in one of its columns)
+    until no pivot column is left in them, and then divided by p for the
+    next level, mod p^(e-1).  Over the local ring the Smith form is
+    I + p * (Smith form of those rows), so level v counts the factors of
+    valuation v, and coefficients stay below p^e.
+
+    Factors of valuation e or more, zero included, are not seen.  So the
+    counts sum to at most the rank, and to ``stop``, the caller's upper bound
+    on the rank, only if both are exact: reading stops there, at level 0
+    after the row that reaches it when p divides no factor.  A shorter list
+    or a smaller sum means the counts are incomplete.
+    """
+    counts = []
+    for v in range(e):
+        if stop <= 0:
+            break
+        q = p ** (e - v)
+        pivots, aside = ({}, {}), []
+        found = _stream_pivots(rows, p, q, stop, pivots, aside)
+        counts.append(found)
+        stop -= found
+        if not stop or v == e - 1:
+            break
+        while any(j in pivots[0] for r in aside for j in r):
+            rows, aside = aside, []
+            _stream_pivots(rows, p, q, None, pivots, aside)
+        rows = [{j: w // p for j, w in r.items()} for r in aside]
+    return counts
 
 
 def snf_diagonal(m: ExactMatrix) -> list:

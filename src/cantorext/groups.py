@@ -351,7 +351,12 @@ class OrbitStructure:
             raise ValueError("n must be >= 1")
         k = space.size
         # the cap counts orbits for regular spaces and all tuples otherwise
-        size = k ** (n - 1) if space.is_regular else k ** n
+        e = n - 1 if space.is_regular else n
+        if k > 1 and e > cap.bit_length():
+            # k^e >= 2^e > cap: refused before the power, whose digits alone
+            # can be too many to print, is taken; the size is left unstated
+            raise CapExceeded(f"size {k}^{e} exceeds cap {cap}", size=None, cap=cap)
+        size = k ** e
         if size > cap:
             raise CapExceeded(f"size {size} exceeds cap {cap}", size=size, cap=cap)
         self.space = space

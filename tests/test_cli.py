@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from cantorext import abelian, cochain
 from cantorext.cli import run
 
 
@@ -376,6 +377,50 @@ class TestSizeFields:
         group = json.dumps({"degree": 256, "generators": []})
         code, out, _ = invoke(capsys, "hn-group", "--group", group, "--n", "0")
         assert code == 0 and out.strip() == "Z"
+
+
+class TestRefusalBeforeWork:
+    """Requests whose work is out of bounds are refused before any of it."""
+
+    def test_level_too_deep_for_its_size(self, capsys):
+        # |K|^(n-1) = 2^19999 is refused before the power is taken; its
+        # 6021 digits are not in the body, which states no size
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "hn-group", "--group", "Z2", "--n", "20000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": None, "cap": cochain.DEFAULT_TUPLE_CAP}
+
+    def test_tor_size(self, capsys):
+        # 17 generators of m against 16 factors of g: 272 > MAX_TOR_SIZE
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "tor", "--m", json.dumps({"factors": [2] * 16, "rank": 1}),
+            "--g", json.dumps({"factors": [2] * 16}),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": 272, "cap": abelian.MAX_TOR_SIZE}
+
+    def test_tor_at_the_cap_answers(self, capsys):
+        code, out, _ = invoke(
+            capsys, "tor", "--m", json.dumps({"factors": [4] * 128}),
+            "--g", json.dumps({"factors": [2, 2]}),
+        )
+        assert code == 0 and out.strip() == " + ".join(["Z/2"] * 256)
+
+    @pytest.mark.parametrize("command, arg", [("tor", "--m"), ("tor", "--g"), ("ext", "--g")])
+    def test_factors_list_length(self, capsys, command, arg):
+        argv = [command, "--g", json.dumps({"factors": [2]})]
+        if command == "tor":
+            argv += ["--m", json.dumps({"factors": [2]})]
+        argv[argv.index(arg) + 1] = json.dumps({"factors": [2] * 257})
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": 257, "cap": 256}
 
 
 class TestSharedParser:

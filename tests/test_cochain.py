@@ -99,6 +99,16 @@ class LastCodeSwapped(list):
         yield self[0]
 
 
+class LastCodeReplaced(list):
+    """Like LastCodeSwapped, with the second code in place of the last, for
+    levels whose first and last rows are equal (both zero at level 4 of
+    S3/<(0 1)>), where a swap with the first would go unseen."""
+
+    def __iter__(self):
+        yield from self[:-1]
+        yield self[1]
+
+
 def test_rows_after_early_exit_are_validated(monkeypatch):
     # d_3 over the non-regular K = D4/<5>, whose rank is certified early
     d4 = groups.builtin("D4")
@@ -127,6 +137,36 @@ def test_rows_after_early_exit_are_validated(monkeypatch):
     monkeypatch.setattr(cochain, "OrbitStructure", Corrupted)
     with pytest.raises(AssertionError, match="representative choice"):
         cochain.homology_at(k, 3)
+
+
+def test_rows_no_prime_reads_are_validated(monkeypatch):
+    # K = S3/<(0 1)> at level 4: H is 0, so both primes of |S3| certify d_3
+    # before its last row (8 of 14 rows read); the rest is still validated
+    s3 = groups.builtin("S3")
+    k = coset_space(s3, [s3.element_of_perm((1, 0, 2))])
+    read = []
+    real_counts = exactla.local_invariant_counts
+
+    def local_invariant_counts(rows, p, e, stop):
+        def counted():
+            for row in rows:
+                read.append(p)
+                yield row
+        return real_counts(counted(), p, e, stop)
+
+    monkeypatch.setattr(exactla, "local_invariant_counts", local_invariant_counts)
+    assert cochain.homology_at(k, 4).is_trivial
+    assert 0 < read.count(2) < groups.OrbitStructure(k, 4).count
+
+    class Corrupted(groups.OrbitStructure):
+        def __init__(self, space, n, cap):
+            super().__init__(space, n, cap)
+            if n == 4:
+                self._reps = LastCodeReplaced(self._reps)
+
+    monkeypatch.setattr(cochain, "OrbitStructure", Corrupted)
+    with pytest.raises(AssertionError, match="representative choice"):
+        cochain.homology_at(k, 4)
 
 
 class TestHomologyAt:
@@ -171,8 +211,19 @@ def exact_rank_fallback_raises(monkeypatch):
     monkeypatch.setattr(exactla, "rank", rank)
 
 
+@pytest.fixture
+def exact_torsion_fallback_raises(monkeypatch):
+    """Make exactla.snf_diagonal, the exact torsion fallback of homology_at, raise."""
+
+    def snf_diagonal(m):
+        raise AssertionError("exact torsion fallback reached")
+
+    monkeypatch.setattr(exactla, "snf_diagonal", snf_diagonal)
+
+
 class TestCertifiedRank:
-    def test_torsion_levels_certify(self, exact_rank_fallback_raises):
+    def test_torsion_levels_certify(self, exact_rank_fallback_raises,
+                                    exact_torsion_fallback_raises):
         d4 = groups.builtin("D4")
         assert cochain.group_cohomology(d4, 3) == FgAbGroup((2,))
         # non-regular K = D4/<5>
@@ -182,6 +233,101 @@ class TestCertifiedRank:
         # H^0 = Z is free, so the bound on d_1 is never reached mod p
         with pytest.raises(AssertionError, match="fallback"):
             cochain.group_cohomology(groups.builtin("D4"), 0)
+
+    def test_count_below_bound_falls_back(self, monkeypatch):
+        # one invariant factor fewer than U: the local counts do not certify
+        # rank(d_(m-1)), and the exact snf_diagonal decides
+        real_counts, real_snf = exactla.local_invariant_counts, exactla.snf_diagonal
+        exact_calls = []
+
+        def short_counts(rows, p, e, stop):
+            counts = real_counts(rows, p, e, stop)
+            counts[0] -= 1
+            return counts
+
+        def snf_diagonal(m):
+            exact_calls.append(m.rows)
+            return real_snf(m)
+
+        monkeypatch.setattr(exactla, "local_invariant_counts", short_counts)
+        monkeypatch.setattr(exactla, "snf_diagonal", snf_diagonal)
+        q8 = groups.builtin("Q8")
+        assert cochain.group_cohomology(q8, 2) == FgAbGroup((2, 2))
+        # one exact elimination, of d_2, whose rows are the orbits of level 3
+        assert exact_calls == [groups.OrbitStructure(coset_space(q8, []), 3).count]
+
+    def test_trivial_group_falls_back(self):
+        # |G| = 1 has no prime to eliminate over; the exact path answers
+        trivial = groups.FiniteGroup([[0]])
+        assert cochain.group_cohomology(trivial, 2).is_trivial
+
+
+# Every class of job in the group and relative cohomology benchmark decks:
+# (group, n) for H^n(G), and (group, subgroup generators, n) for H^n(X|Y).
+DECK_REGULAR = (
+    ("S4", 2), ("Q8", 3), ("D4", 3), ("Z5", 4), ("A4", 2), ("Z4", 4), ("Z6", 3),
+    ("S3", 3), ("Z12", 2), ("Z11", 2), ("Z5", 3), ("Z10", 2), ("Z9", 2), ("D4", 2),
+    ("Z7", 2), ("Q8", 2), ("Z8", 2), ("Z3", 4), ("Z4", 3), ("Z6", 2), ("S3", 2),
+    ("Z5", 2), ("Z2", 4), ("Z3", 3), ("Z2", 2), ("Z3", 2), ("Z4", 2), ("Z2", 3),
+)
+DECK_H1 = ("S5", "A5", "S4", "A4", "S3", "Z12", "Z11", "Z9", "D4", "Q8", "Z10")
+DECK_RELATIVE = (
+    ("A5", (3,), 0), ("S5", (33,), 0), ("A5", (1,), 0), ("S5", (1, 2), 0),
+    ("S4", (3,), 1), ("S4", (7, 16), 1), ("Z12", (6,), 1), ("S5", (1, 16), 0),
+    ("A5", (3, 8), 0), ("S4", (1,), 0), ("S4", (7,), 0), ("S5", (7, 26), 0),
+    ("A4", (3,), 1), ("A5", (16,), 0), ("S5", (3, 7), 0), ("S5", (1, 26), 0),
+    ("S4", (9,), 1), ("A5", (1, 12), 0), ("A5", (3, 13), 1), ("S5", (7, 32), 1),
+    ("S4", (1, 6), 1), ("S5", (1, 8), 1), ("Z12", (4,), 1), ("Z8", (4,), 1),
+    ("D4", (5,), 1), ("S4", (3,), 0), ("A5", (1, 3), 1), ("Q8", (1,), 1),
+    ("Z12", (6,), 0), ("D4", (2,), 1), ("D4", (1,), 1), ("S4", (1, 2), 1),
+    ("S4", (9,), 0), ("A5", (3, 13), 0), ("A4", (1,), 1), ("A4", (3,), 0),
+    ("Z8", (4,), 0), ("Q8", (1,), 0), ("D4", (5,), 0), ("S5", (1, 8), 0),
+    ("S5", (7, 32), 0), ("Z12", (4,), 0), ("S3", (), 0), ("Q8", (), 0),
+    ("D4", (), 0), ("Z4", (), 0), ("Z6", (), 1), ("A4", (), 0), ("Z3", (), 1),
+)
+
+
+def deck_answers():
+    out = {}
+    for name, n in DECK_REGULAR:
+        out[(name, n)] = cochain.group_cohomology(groups.builtin(name), n)
+    for name, gens, n in DECK_RELATIVE:
+        out[(name, gens, n)] = cochain.relative_cohomology_isometric(
+            groups.builtin(name), list(gens), n)
+    return out
+
+
+def test_deck_jobs_certify_and_match_the_exact_path(monkeypatch):
+    real_snf = exactla.snf_diagonal
+    monkeypatch.setattr(exactla, "snf_diagonal", lambda m: pytest.fail("torsion fallback"))
+    certified = deck_answers()
+    # the oracle: every torsion step forced onto the exact snf_diagonal
+    monkeypatch.setattr(exactla, "snf_diagonal", real_snf)
+    monkeypatch.setattr(exactla, "local_invariant_counts", lambda rows, p, e, stop: [])
+    assert certified == deck_answers()
+
+
+@pytest.mark.parametrize("name", DECK_H1)
+def test_deck_h1_reaches_the_torsion_fallback(name, exact_torsion_fallback_raises):
+    # at level 2 the bound U = n_1 = 1 is out of reach: d_1 = 0 since H^0 = Z
+    with pytest.raises(AssertionError, match="torsion fallback"):
+        cochain.group_cohomology(groups.builtin(name), 1)
+
+
+DEEP_JOBS = [
+    ("Q8", 4, (8,)),
+    ("S3", 4, (6,)),
+    ("D4", 4, (2, 2, 4)),
+    ("A4", 3, (2,)),
+    ("S4", 3, (2,)),
+    pytest.param("Z12", 4, (12,), marks=pytest.mark.slow),
+    pytest.param("A4", 4, (6,), marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("name, n, factors", DEEP_JOBS)
+def test_deep_jobs(name, n, factors, exact_torsion_fallback_raises):
+    assert cochain.group_cohomology(groups.builtin(name), n) == FgAbGroup(factors)
 
 
 class TestGroupCohomology:

@@ -297,3 +297,73 @@ class TestCertifiedRank:
         p = exactla.RANK_PRIME
         assert p < 1 << 30
         assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def valuation(d, p):
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+@st.composite
+def local_cases(draw):
+    """(m, p, e): a sparse integer matrix whose entries include multiples of
+    p and of p^e, the modulus of the local elimination; half are products
+    through a narrow middle, so rank-deficient."""
+    p = draw(st.sampled_from((2, 3)))
+    e = draw(st.integers(1, 3))
+    values = st.one_of(st.integers(-3, 3), st.sampled_from((p, -p, p * p, p ** e, 2 * p ** e)))
+
+    def sparse(rows, cols):
+        if not rows or not cols:
+            return ExactMatrix.zero(rows, cols)
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return ExactMatrix(rows, cols, draw(
+            st.dictionaries(cells, values, max_size=2 * (rows + cols))))
+
+    r = draw(st.integers(0, 10))
+    c = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        return sparse(r, k).matmul(sparse(k, c)), p, e
+    return sparse(r, c), p, e
+
+
+class TestLocalInvariantCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(local_cases())
+    def test_counts_match_snf(self, case):
+        m, p, e = case
+        diag = exactla.snf_diagonal(m)
+        want = [sum(1 for d in diag if valuation(d, p) == v) for v in range(e)]
+        counts = exactla.local_invariant_counts(m.row_dicts(), p, e, len(diag))
+        # the list stops early only once the rank is reached
+        assert counts + [0] * (e - len(counts)) == want
+        assert (sum(counts) == len(diag)) == all(valuation(d, p) < e for d in diag)
+        # a bound above the rank is never reached
+        over = exactla.local_invariant_counts(m.row_dicts(), p, e, len(diag) + 1)
+        assert sum(over) <= len(diag)
+
+    def test_rows_set_apart_are_reduced_again(self):
+        # Smith form diag(1, 4).  Row 0 is set apart mod 8 before row 1 makes
+        # column 0 a pivot; unless it is reduced against that pivot, its half
+        # (1, 2) finds a unit at level 1 and the counts claim Z/2, not Z/4.
+        rows = [{0: 2, 1: 4}, {0: -1}]
+        assert exactla.snf_diagonal(ExactMatrix.from_rows([[2, 4], [-1, 0]])) == [1, 4]
+        assert exactla.local_invariant_counts(rows, 2, 3, 2) == [1, 0, 1]
+
+    def test_stops_at_bound(self):
+        def rows():
+            yield {0: 3}
+            yield {0: 6, 1: 2}  # a multiple of 2 modulo the first row
+            yield {1: 5}
+            raise AssertionError("read past the row that reaches the bound")
+
+        assert exactla.local_invariant_counts(rows(), 2, 2, 2) == [2]
+
+    def test_valuation_beyond_modulus_is_unseen(self):
+        # [[8]] has one invariant factor, 8 = 2^3, which is 0 mod 2^3
+        assert sum(exactla.local_invariant_counts([{0: 8}], 2, 3, 1)) == 0
+        assert exactla.local_invariant_counts([{0: 8}], 2, 4, 1) == [0, 0, 0, 1]
