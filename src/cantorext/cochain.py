@@ -13,7 +13,8 @@ from itertools import tee
 from cantorext import exactla
 from cantorext.abelian import FgAbGroup
 from cantorext.exactla import ExactMatrix
-from cantorext.groups import CosetSpace, FiniteGroup, OrbitStructure, coset_space
+from cantorext.groups import (CosetSpace, FiniteGroup, OrbitStructure, check_level_size,
+                              coset_space)
 
 DEFAULT_TUPLE_CAP = 5_000_000
 
@@ -116,9 +117,10 @@ def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
 
     d_0 is understood as the zero map into I(K).  Since ker(d_m) is saturated,
     Z^n/ker is free and the torsion of the homology equals the torsion of
-    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).  The
-    orbit structures of levels m-2..m+1 are built once and feed the rows of
-    d_(m-2), d_(m-1) and d_m, generated one at a time as {col: value} dicts.
+    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).  For
+    m >= 2 the orbit structures of levels m-2..m are built once and feed the
+    rows of d_(m-2) and d_(m-1), generated one at a time as {col: value}
+    dicts.
 
     Transfer.  The invariant chain sits inside the cochain complex of all
     functions on K, K^2, ..., which is acyclic above level 1 (the simplex on
@@ -143,43 +145,31 @@ def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
     ``exactla.snf_diagonal``: at level 2, where H^0 = Z leaves U out of
     reach, and for the trivial group, which has no prime.
 
-    Rank of d_m, certified.  Since d_m . d_(m-1) = 0,
-    rank(d_m) <= n_m - rank(d_(m-1)), and a rank mod p that reaches this bound
-    proves it exact (``exactla.rank_reaches``).  The rows of d_m are streamed
-    into it, so d_m is never built, and the rows after the one that reaches
-    the bound are only generated when the representative-independence check
-    needs them (non-regular K).  The bound is reached when p divides no
-    invariant factor of d_m, which holds for the prime of ``exactla``, above
-    |G|, at every level but the first.  At level 1 the bound is out of reach,
-    and d_1 is built for the exact ``exactla.rank``.
+    Rank of d_m, from the transfer.  At m >= 2 the homology is torsion, so
+    its free rank is 0 and rank(d_m) = n_m - rank(d_(m-1)): no row of d_m is
+    generated and level m+1 is only checked against the cap, by its size.
+    Level 1 is the one level the transfer leaves free (H^0 = Z); there the
+    one-column d_1 is built and its rank taken by the exact ``exactla.rank``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    levels = {n: OrbitStructure(k, n, cap=cap) for n in range(max(m - 2, 1), m + 2)}
+    if m == 1:
+        d_1 = differential_matrix(k, 1, cap)
+        return FgAbGroup.free(d_1.cols - exactla.rank(d_1))
+    low = max(m - 2, 1)
+    for n in range(low, m + 2):  # every level refused by size before any is built
+        check_level_size(k, n, cap)
+    levels = {n: OrbitStructure(k, n, cap=cap) for n in range(low, m + 1)}
     validate = not k.is_regular
 
     def rows(n):  # the rows of d_n
         return _differential_rows(k, levels[n], levels[n + 1], validate)
 
-    if m == 1:
-        torsion = []
-        rank_in = 0
-    else:
-        torsion, rank_in = _torsion_and_rank(levels, m, rows, k.group.order, validate)
-    n_m = levels[m].count
-    d_m = rows(m)
-    if exactla.rank_reaches(d_m, n_m - rank_in):
-        rank_out = n_m - rank_in
-        if validate:
-            deque(d_m, maxlen=0)  # validate the rows after the early exit too
-    else:
-        rank_out = exactla.rank(_matrix(levels[m + 1].count, n_m, rows(m)))
-    free = n_m - rank_out - rank_in
-    return FgAbGroup.from_orders(torsion, free_rank=free)
+    return FgAbGroup.from_orders(_torsion(levels, m, rows, k.group.order, validate))
 
 
-def _torsion_and_rank(levels, m, rows, group_order, validate):
-    """(torsion orders, rank) of d_(m-1), by the certificate of ``homology_at``."""
+def _torsion(levels, m, rows, group_order, validate):
+    """Torsion orders of coker(d_(m-1)), by the certificate of ``homology_at``."""
     n_prev = levels[m - 1].count
     r_low = 0 if m == 2 else exactla.rank_mod_p(rows(m - 2), levels[m - 2].count)
     bound = n_prev - r_low
@@ -196,10 +186,10 @@ def _torsion_and_rank(levels, m, rows, group_order, validate):
         torsion += [p ** v for v, c in enumerate(counts) for _ in range(c) if v]
     if not certified:
         diag = exactla.snf_diagonal(_matrix(levels[m].count, n_prev, d_prev[-1]))
-        return [d for d in diag if d > 1], len(diag)
+        return [d for d in diag if d > 1]
     if validate:
         deque(d_prev[-1], maxlen=0)  # validate the rows no prime read too
-    return torsion, bound
+    return torsion
 
 
 def group_cohomology(g: FiniteGroup, n: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:

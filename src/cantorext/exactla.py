@@ -517,17 +517,6 @@ def rank_mod_p(rows, stop=None) -> int:
     return _stream_pivots(rows, p, p, stop, ({}, {}))
 
 
-def rank_reaches(rows, bound: int) -> bool:
-    """Whether the rows, {col: value} dicts streamed in order, reach rank bound mod p.
-
-    A rank mod RANK_PRIME never exceeds the rational rank, so given the
-    caller's proof that the rank is at most ``bound``, True certifies that it
-    equals ``bound``.  Reading stops at the row that reaches it; False means
-    every row was read and the exact ``rank`` must decide.
-    """
-    return bound <= 0 or rank_mod_p(rows, bound) == bound
-
-
 def local_invariant_counts(rows, p: int, e: int, stop: int) -> list:
     """How many invariant factors of the streamed rows have p-adic valuation v.
 

@@ -334,6 +334,23 @@ def coset_space(g: FiniteGroup, h_gens) -> CosetSpace:
     return ks
 
 
+def check_level_size(space: CosetSpace, n: int, cap: int) -> None:
+    """Refuse level n of the chain over space, by arithmetic, if too large.
+
+    The cap counts orbits, |K|^(n-1), for regular spaces and all tuples,
+    |K|^n, otherwise; a level over the cap raises CapExceeded with its size.
+    """
+    k = space.size
+    e = n - 1 if space.is_regular else n
+    if k > 1 and e > cap.bit_length():
+        # k^e >= 2^e > cap: refused before the power, whose digits alone
+        # can be too many to print, is taken; the size is left unstated
+        raise CapExceeded(f"size {k}^{e} exceeds cap {cap}", size=None, cap=cap)
+    size = k ** e
+    if size > cap:
+        raise CapExceeded(f"size {size} exceeds cap {cap}", size=size, cap=cap)
+
+
 class OrbitStructure:
     """Diagonal G-orbits on K^n: representatives plus an index function.
 
@@ -349,16 +366,8 @@ class OrbitStructure:
     def __init__(self, space: CosetSpace, n: int, cap=5_000_000):
         if n < 1:
             raise ValueError("n must be >= 1")
+        check_level_size(space, n, cap)
         k = space.size
-        # the cap counts orbits for regular spaces and all tuples otherwise
-        e = n - 1 if space.is_regular else n
-        if k > 1 and e > cap.bit_length():
-            # k^e >= 2^e > cap: refused before the power, whose digits alone
-            # can be too many to print, is taken; the size is left unstated
-            raise CapExceeded(f"size {k}^{e} exceeds cap {cap}", size=None, cap=cap)
-        size = k ** e
-        if size > cap:
-            raise CapExceeded(f"size {size} exceeds cap {cap}", size=size, cap=cap)
         self.space = space
         self.n = n
         self._k = k

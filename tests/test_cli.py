@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from cantorext import abelian, cochain
+from cantorext import abelian, cochain, exactla
 from cantorext.cli import run
 
 
@@ -391,6 +391,35 @@ class TestRefusalBeforeWork:
         assert code == 1 and out == ""
         assert json.loads(err) == {"refused": True, "reason": "size-cap",
                                    "size": None, "cap": cochain.DEFAULT_TUPLE_CAP}
+
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        """Make every elimination raise: these requests are refused before one."""
+
+        def eliminate(*args, **kwargs):
+            raise AssertionError("elimination started before the refusal")
+
+        for name in ("rank", "rank_mod_p", "local_invariant_counts", "snf_diagonal"):
+            monkeypatch.setattr(exactla, name, eliminate)
+
+    def test_level_above_m_refused_by_size(self, capsys, no_elimination):
+        # H^3(S5) is level m = 4 of the regular chain: levels 2..4 are under
+        # the cap, and level 5, never built, is refused by its size 120^4
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "hn-group", "--group", "S5", "--n", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": 207360000, "cap": 5000000}
+
+    def test_relative_level_above_m_refused_by_size(self, capsys, no_elimination):
+        # H^0(X|Y) over K = S3/<(0 1)> is level m = 3: 3^3 = 27 tuples are
+        # under the cap of 50, and level 4, never built, has 3^4 = 81
+        code, out, err = invoke(capsys, "hn-ext", "--group", "S3", "--subgroup", "1,0,2",
+                                "--n", "0", "--max-tuples", "50")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"refused": True, "reason": "size-cap",
+                                   "size": 81, "cap": 50}
 
     def test_tor_size(self, capsys):
         # 17 generators of m against 16 factors of g: 272 > MAX_TOR_SIZE

@@ -90,50 +90,46 @@ def test_differential_matches_tuple_slicing_oracle():
                     (name, len(k.subgroup), n)
 
 
-class LastCodeSwapped(list):
-    """Representative codes whose iteration, which the row kernel reads,
-    yields a wrong last code, while indexing (``OrbitStructure.rep``) does not."""
-
-    def __iter__(self):
-        yield from self[:-1]
-        yield self[0]
-
-
 class LastCodeReplaced(list):
-    """Like LastCodeSwapped, with the second code in place of the last, for
-    levels whose first and last rows are equal (both zero at level 4 of
-    S3/<(0 1)>), where a swap with the first would go unseen."""
+    """Representative codes whose iteration, which the row kernel reads,
+    yields the code at ``source`` in place of the last one, while indexing
+    (``OrbitStructure.rep``) does not.  The row at ``source`` must differ
+    from the last row, or the replacement goes unseen."""
+
+    def __init__(self, codes, source):
+        super().__init__(codes)
+        self.source = source
 
     def __iter__(self):
         yield from self[:-1]
-        yield self[1]
+        yield self[self.source]
 
 
-def test_rows_after_early_exit_are_validated(monkeypatch):
-    # d_3 over the non-regular K = D4/<5>, whose rank is certified early
+def test_level_above_m_is_never_built(monkeypatch):
+    # H^3 over the non-regular K = D4/<5>: rank(d_3) comes from the transfer,
+    # so level 4, which holds the rows of d_3, is never built
     d4 = groups.builtin("D4")
     k = coset_space(d4, [5])
     assert not k.is_regular
-    streamed = []
-    real_reaches = exactla.rank_reaches
+    built = []
 
-    def rank_reaches(rows, bound):
-        def counted():
-            for row in rows:
-                streamed.append(row)
-                yield row
-        return real_reaches(counted(), bound)
+    class Recorded(groups.OrbitStructure):
+        def __init__(self, space, n, cap):
+            built.append(n)
+            super().__init__(space, n, cap)
 
-    monkeypatch.setattr(exactla, "rank_reaches", rank_reaches)
+    monkeypatch.setattr(cochain, "OrbitStructure", Recorded)
     assert cochain.homology_at(k, 3) == FgAbGroup((2, 2))
-    assert 0 < len(streamed) < groups.OrbitStructure(k, 4).count
+    assert sorted(built) == [1, 2, 3]
 
     class Corrupted(groups.OrbitStructure):
         def __init__(self, space, n, cap):
             super().__init__(space, n, cap)
-            if n == 4:
-                self._reps = LastCodeSwapped(self._reps)
+            if n == 3:
+                # the first rows of d_2 equal the last, {0: 1}; row 4 does not
+                self._reps = LastCodeReplaced(self._reps, 4)
 
+    # level 3 holds the rows of d_2, which are still generated and validated
     monkeypatch.setattr(cochain, "OrbitStructure", Corrupted)
     with pytest.raises(AssertionError, match="representative choice"):
         cochain.homology_at(k, 3)
@@ -162,7 +158,8 @@ def test_rows_no_prime_reads_are_validated(monkeypatch):
         def __init__(self, space, n, cap):
             super().__init__(space, n, cap)
             if n == 4:
-                self._reps = LastCodeReplaced(self._reps)
+                # the first and last rows of d_3 are both zero; row 1 is not
+                self._reps = LastCodeReplaced(self._reps, 1)
 
     monkeypatch.setattr(cochain, "OrbitStructure", Corrupted)
     with pytest.raises(AssertionError, match="representative choice"):
@@ -230,7 +227,8 @@ class TestCertifiedRank:
         assert cochain.relative_cohomology_isometric(d4, [5], 0) == FgAbGroup((2, 2))
 
     def test_free_level_falls_back(self, exact_rank_fallback_raises):
-        # H^0 = Z is free, so the bound on d_1 is never reached mod p
+        # H^0 = Z is free, the one level the transfer leaves open: level 1
+        # takes the exact rank of d_1
         with pytest.raises(AssertionError, match="fallback"):
             cochain.group_cohomology(groups.builtin("D4"), 0)
 
@@ -328,6 +326,30 @@ DEEP_JOBS = [
 @pytest.mark.parametrize("name, n, factors", DEEP_JOBS)
 def test_deep_jobs(name, n, factors, exact_torsion_fallback_raises):
     assert cochain.group_cohomology(groups.builtin(name), n) == FgAbGroup(factors)
+
+
+# (group, subgroup generators, level m) of every job class above whose rank of
+# d_m homology_at takes from the transfer: the decks and the non-slow deep
+# jobs, each distinct (K, m) once
+TRANSFER_LEVELS = list(dict.fromkeys(
+    [(name, (), n + 1) for name, n in DECK_REGULAR]
+    + [(name, gens, n + 3) for name, gens, n in DECK_RELATIVE]
+    + [(name, (), n + 1) for name, n, _ in (j for j in DEEP_JOBS if not hasattr(j, "marks"))]
+))
+
+
+@pytest.mark.parametrize("name, gens, m", TRANSFER_LEVELS, ids=[
+    f"{name}<{','.join(map(str, gens))}>-m{m}" for name, gens, m in TRANSFER_LEVELS])
+def test_transfer_gives_the_rank_of_d_m(name, gens, m):
+    # the old runtime certificate, kept as an oracle: since d_m . d_(m-1) = 0,
+    # rank(d_m) <= U = n_m - rank(d_(m-1)), and a rank mod p never exceeds
+    # the rational rank, so reaching U mod p proves rank(d_m) = U, that is a
+    # free rank of 0 at level m; d_m is built by differential_matrix, which
+    # validates its rows on non-regular K
+    k = coset_space(groups.builtin(name), list(gens))
+    d_m = cochain.differential_matrix(k, m)
+    bound = d_m.cols - exactla.rank(cochain.differential_matrix(k, m - 1))
+    assert exactla.rank_mod_p(d_m.row_dicts(), bound) == bound
 
 
 class TestGroupCohomology:

@@ -265,23 +265,25 @@ def dense_rank_mod_p(m):
 
 
 class TestCertifiedRank:
+    # rank_mod_p(rows, b) == b certifies rank = b given a proof that rank <= b
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
     def test_bounded_rank_is_exact(self, m):
         exact = exactla.rank(m)
         mod_p = dense_rank_mod_p(m)
         assert mod_p <= exact
+        assert exactla.rank_mod_p(m.row_dicts()) == mod_p
         # the exact rank as bound is reached unless p kills a pivot
-        assert exactla.rank_reaches(m.row_dicts(), exact) == (mod_p == exact)
-        assert exactla.rank_reaches(m.row_dicts(), mod_p)
+        assert (exactla.rank_mod_p(m.row_dicts(), exact) == exact) == (mod_p == exact)
+        assert exactla.rank_mod_p(m.row_dicts(), mod_p) == mod_p
         # a bound above the rank is never reached mod p
-        assert not exactla.rank_reaches(m.row_dicts(), exact + 1)
+        assert exactla.rank_mod_p(m.row_dicts(), exact + 1) != exact + 1
 
     def test_certificate_failure_falls_back(self):
         # [[p]] has rank 0 mod p but rank 1 over Z: the certificate fails and
         # only the exact rank sees the pivot
         m = ExactMatrix.from_rows([[exactla.RANK_PRIME]])
-        assert not exactla.rank_reaches(m.row_dicts(), 1)
+        assert exactla.rank_mod_p(m.row_dicts(), 1) != 1
         assert exactla.rank(m) == 1
 
     def test_stops_at_bound(self):
@@ -291,7 +293,7 @@ class TestCertifiedRank:
             yield {1: 3}
             raise AssertionError("read past the row that reaches the bound")
 
-        assert exactla.rank_reaches(rows(), 2)
+        assert exactla.rank_mod_p(rows(), 2) == 2
 
     def test_rank_prime(self):
         p = exactla.RANK_PRIME
