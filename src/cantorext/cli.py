@@ -222,25 +222,23 @@ def _cmd_dimquot(args):
 
 def _cmd_toeplitz(args):
     g = _parse_group(args.group)
-    if args.enumeration:
-        enumeration = _parse_vector(args.enumeration, "enumeration")
-    elif args.check:
-        enumeration = toeplitz.default_enumeration(g)
-    else:
-        enumeration = tuple(range(g.order))
     try:
+        if args.enumeration:
+            enumeration = _parse_vector(args.enumeration, "enumeration")
+        elif args.check:
+            toeplitz.refuse_check_depth(g, args.depth)  # before the search
+            enumeration = toeplitz.default_enumeration(g)
+        else:
+            enumeration = tuple(range(g.order))
         w = toeplitz.generate_window(g, enumeration, args.depth)
+        # before any output, so a refused check prints nothing
+        realized = toeplitz.essential_values(w, 4) if args.check else None
+    except toeplitz.CheckDepthError as e:
+        raise UsageError(f"field 'depth' too small for check: {e}")
     except ValueError as e:
         raise UsageError(str(e))
-    if args.check:  # before any output, so a refused check prints nothing
-        radius = 4
-        try:
-            realized = toeplitz.essential_values_check(
-                g, enumeration, args.depth, radius
-            )
-        except ValueError as e:
-            raise UsageError(f"field 'depth' too small for check: {e}")
-    print(" ".join(str(v) for v in w.values))
+    text = {v: str(v) for v in w.stage_values}  # a window holds only its stage values
+    print(" ".join(map(text.__getitem__, w.values)))
     if args.check:
         report = {
             "group": g.name or f"order{g.order}",

@@ -34,50 +34,70 @@ class ToeplitzWindow:
         return len(self.values)
 
 
-def generate_window(group: FiniteGroup, enumeration, m: int) -> ToeplitzWindow:
-    """Build the depth-m window (stages 0..m; stage m fills position 2^m - 1)."""
+class CheckDepthError(ValueError):
+    """The window is too short for the essential-value check: 2^m <= 4N."""
+
+    def __init__(self):
+        super().__init__("depth too small: need 2^m > 4N")
+
+
+def _refuse_window_depth(m: int) -> None:
     if m < 2:
         raise ValueError("depth must be >= 2")
     if m > WINDOW_MAX_DEPTH:
         raise CapExceeded(f"depth {m} exceeds the window cap of depth {WINDOW_MAX_DEPTH}",
                           size=m, cap=WINDOW_MAX_DEPTH)
+
+
+def refuse_check_depth(group: FiniteGroup, m: int) -> None:
+    """Refuse before any work a depth that `essential_values_check(group, _, m, _)`
+    refuses: ValueError below 2, CapExceeded above WINDOW_MAX_DEPTH and
+    CheckDepthError unless 2^m > 4|G|, in that order."""
+    _refuse_window_depth(m)
+    if (1 << m) <= 4 * group.order:
+        raise CheckDepthError()
+
+
+def generate_window(group: FiniteGroup, enumeration, m: int) -> ToeplitzWindow:
+    """Build the depth-m window (stages 0..m; stage m fills position 2^m - 1).
+
+    Stage k fills the positions p with p + 1 of 2-adic valuation k, that is
+    2^k - 1 + j 2^(k+1), with the element g_k solving
+    P_k g_k P_(k-1) = u_(k mod N), where P_k = omega(0) ... omega(2^k - 2) is
+    the product of the prefix that stages 0..k-1 have filled
+    (P_0 = P_(-1) = identity).  For 0 <= i < 2^k - 1, 2^k + i + 1 has the
+    same valuation as i + 1, so the position 2^k + i belongs to the same
+    stage as the position i and holds the same value: the prefix of stage
+    k+1 is the prefix of stage k, then g_k, then that prefix again.  Hence
+    P_(k+1) = P_k g_k P_k, carried from stage to stage, and each stage is
+    one slice assignment.
+    """
+    _refuse_window_depth(m)
     enumeration = tuple(enumeration)
     if sorted(enumeration) != list(range(group.order)):
         raise ValueError("enumeration must be a bijection onto the group")
     if enumeration[0] != 0:
         raise ValueError("enumeration must start with the identity")
+    mul, inv = group.mul, group.inv
     n_elems = group.order
     size = 1 << m
     values = [None] * size
     stage_of = [None] * size
     stage_values = []
-
-    def prefix_product(upto):
-        # omega(0) omega(1) ... omega(upto), left to right; empty for upto < 0
-        acc = 0
-        for i in range(upto + 1):
-            acc = group.mul[acc][values[i]]
-        return acc
-
+    prefix = before = 0  # P_k and P_(k-1)
     for k in range(m + 1):
-        if k == 0:
-            g = enumeration[0]
-        else:
-            a = prefix_product((1 << k) - 2)
-            b = prefix_product((1 << (k - 1)) - 2)
-            u = enumeration[k % n_elems]
-            # a g b = u  =>  g = a^-1 u b^-1
-            g = group.mul[group.mul[group.inv[a]][u]][group.inv[b]]
+        u = enumeration[k % n_elems]
+        # P_k g P_(k-1) = u  =>  g = P_k^-1 u P_(k-1)^-1
+        g = mul[mul[inv[prefix]][u]][inv[before]]
         stage_values.append(g)
-        step = 1 << (k + 1)
-        pos = (1 << k) - 1
-        while pos < size:
-            if values[pos] is not None:
-                raise AssertionError(f"position {pos} filled twice")
-            values[pos] = g
-            stage_of[pos] = k
-            pos += step
-    if any(v is None for v in values):
+        pos, step = (1 << k) - 1, 1 << (k + 1)
+        taken = values[pos::step]
+        if taken.count(None) != len(taken):
+            raise AssertionError(f"a position of stage {k} filled twice")
+        values[pos::step] = [g] * len(taken)
+        stage_of[pos::step] = [k] * len(taken)
+        prefix, before = mul[mul[prefix][g]][prefix], prefix
+    if None in values:
         raise AssertionError("window has unfilled positions")
     return ToeplitzWindow(
         group=group,
@@ -90,58 +110,55 @@ def generate_window(group: FiniteGroup, enumeration, m: int) -> ToeplitzWindow:
 
 
 def construction_identity_holds(w: ToeplitzWindow) -> bool:
-    """Recompute a_k g_k b_k = u_(k mod N) from the finished window, all stages."""
-    group = w.group
+    """Recompute a_k g_k b_k = u_(k mod N) from the finished window, all stages.
 
-    def product(upto):
-        acc = 0
-        for i in range(upto + 1):
-            acc = group.mul[acc][w.values[i]]
-        return acc
-
+    The prefix products a_k = omega(0) ... omega(2^k - 2) are taken from
+    `w.values` in one left-to-right pass, not from the recurrence that built
+    the window, so the check stays independent of the construction.
+    """
+    mul, values = w.group.mul, w.values
+    prefixes = [0]  # prefixes[k] = a_k
+    acc = 0
+    for k in range(w.depth):
+        for v in values[(1 << k) - 1:(1 << (k + 1)) - 1]:
+            acc = mul[acc][v]
+        prefixes.append(acc)
     n = len(w.enumeration)
     for k in range(w.depth + 1):
-        a = product((1 << k) - 2)
-        b = product((1 << (k - 1)) - 2) if k >= 1 else 0
-        lhs = group.mul[group.mul[a][w.stage_values[k]]][b]
-        if lhs != w.enumeration[k % n]:
+        b = prefixes[k - 1] if k >= 1 else 0
+        if mul[mul[prefixes[k]][w.stage_values[k]]][b] != w.enumeration[k % n]:
             return False
     return True
 
 
-def cocycle_product(w: ToeplitzWindow, t: int):
-    """omega(t-1) . omega(t-2) ... omega(0); identity for t = 0."""
-    if not 0 <= t <= len(w):
-        raise ValueError(f"t must lie in [0, {len(w)}]")
-    acc = 0
-    for i in range(t):
-        acc = w.group.mul[w.values[i]][acc]
-    return acc
+def essential_values(w: ToeplitzWindow, agree_radius: int):
+    """Cocycle products at return times where the shifted window matches.
+
+    Collects omega(t-1) ... omega(0) (the identity for t = 0) over
+    t <= 2^(m-1) such that the window shifted by t agrees with the unshifted
+    window on [0, agree_radius); the check passes when the whole group is
+    realized.
+    """
+    group, vals = w.group, w.values
+    if len(vals) <= 4 * group.order:
+        raise CheckDepthError()
+    limit = 1 << (w.depth - 1)
+    if not 0 <= agree_radius <= len(vals) - limit:
+        raise ValueError(f"agree_radius must lie in [0, {len(vals) - limit}]")
+    mul = group.mul
+    head = vals[:agree_radius]
+    realized = set()
+    acc = 0  # omega(t-1) ... omega(0)
+    for t, v in enumerate(vals[:limit + 1]):
+        if vals[t:t + agree_radius] == head:
+            realized.add(acc)
+        acc = mul[v][acc]
+    return realized
 
 
 def essential_values_check(group: FiniteGroup, enumeration, m: int, agree_radius: int):
-    """Cocycle products at return times where the shifted window matches.
-
-    Collects cocycle_product(t) over t <= 2^(m-1) such that the window
-    shifted by t agrees with the unshifted window on [0, agree_radius); the
-    check passes when the whole group is realized.
-    """
-    n = group.order
-    w = generate_window(group, enumeration, m)  # refuses a depth above the cap
-    if len(w) <= 4 * n:
-        raise ValueError("depth too small: need 2^m > 4N")
-    vals = w.values
-    limit = 1 << (m - 1)
-    realized = set()
-    products = [0] * (limit + 1)
-    acc = 0
-    for i in range(limit):
-        acc = group.mul[vals[i]][acc]
-        products[i + 1] = acc
-    for t in range(0, limit + 1):
-        if all(vals[i + t] == vals[i] for i in range(agree_radius)):
-            realized.add(products[t])
-    return realized
+    """`essential_values` of the depth-m window of `enumeration`."""
+    return essential_values(generate_window(group, enumeration, m), agree_radius)
 
 
 def canonical_depth(n: int) -> int:
@@ -201,19 +218,3 @@ def default_enumeration(group: FiniteGroup, m=None, agree_radius=4, max_seeds=51
         if len(essential_values_check(group, enum, m, agree_radius)) == n:
             return enum
     return lex
-
-
-def regularity_profile(w: ToeplitzWindow):
-    """Density (as an exact Fraction) of positions filled by stages <= k, k < depth."""
-    from fractions import Fraction
-
-    size = len(w)
-    densities = []
-    filled = 0
-    counts = [0] * (w.depth + 1)
-    for s in w.stage_of:
-        counts[s] += 1
-    for k in range(w.depth):
-        filled += counts[k]
-        densities.append(Fraction(filled, size))
-    return densities

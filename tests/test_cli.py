@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from cantorext import abelian, cochain, exactla
+from cantorext import abelian, cochain, exactla, toeplitz
 from cantorext.cli import run
 
 
@@ -253,6 +253,21 @@ class TestToeplitz:
             "refused": True, "reason": "size-cap", "size": 60, "cap": 22,
         }
         assert peak < 1 << 20  # bytes; a refused window allocates nothing
+
+    @pytest.mark.parametrize("depth, code, err", [
+        ("60", 1, '{"refused": true, "reason": "size-cap", "size": 60, "cap": 22}\n'),
+        ("1", 2, "error: depth must be >= 2\n"),
+        ("8", 2, "error: field 'depth' too small for check: "
+                 "depth too small: need 2^m > 4N\n"),
+    ])
+    def test_check_depth_refused_before_the_search(self, capsys, monkeypatch,
+                                                   depth, code, err):
+        def search(*args, **kwargs):
+            raise AssertionError("enumeration search started before the refusal")
+
+        monkeypatch.setattr(toeplitz, "default_enumeration", search)
+        got = invoke(capsys, "toeplitz", "--group", "S5", "--depth", depth, "--check")
+        assert got == (code, "", err)
 
 
 def assert_usage_error(code, out, err):

@@ -1,5 +1,7 @@
 """Unit tests for Toeplitz windows over finite groups."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,30 @@ import pytest
 from cantorext import groups, toeplitz
 from cantorext.exactla import CapExceeded
 from cantorext.groups import FiniteGroup
+
+
+def cocycle_product(w, t):
+    """omega(t-1) . omega(t-2) ... omega(0); identity for t = 0."""
+    if not 0 <= t <= len(w):
+        raise ValueError(f"t must lie in [0, {len(w)}]")
+    acc = 0
+    for i in range(t):
+        acc = w.group.mul[w.values[i]][acc]
+    return acc
+
+
+def regularity_profile(w):
+    """Density (as an exact Fraction) of positions filled by stages <= k, k < depth."""
+    size = len(w)
+    densities = []
+    filled = 0
+    counts = [0] * (w.depth + 1)
+    for s in w.stage_of:
+        counts[s] += 1
+    for k in range(w.depth):
+        filled += counts[k]
+        densities.append(Fraction(filled, size))
+    return densities
 
 
 def val2(n):
@@ -72,19 +98,19 @@ class TestCocycleProduct:
     def test_identity_at_zero(self):
         g = groups.builtin("S3")
         w = toeplitz.generate_window(g, tuple(range(6)), 5)
-        assert toeplitz.cocycle_product(w, 0) == 0
+        assert cocycle_product(w, 0) == 0
 
     def test_z2_values(self):
         g = groups.builtin("Z2")
         w = toeplitz.generate_window(g, (0, 1), 5)
-        assert toeplitz.cocycle_product(w, 2) == 1
-        assert toeplitz.cocycle_product(w, 4) == 0
+        assert cocycle_product(w, 2) == 1
+        assert cocycle_product(w, 4) == 0
 
     def test_range_checked(self):
         g = groups.builtin("Z2")
         w = toeplitz.generate_window(g, (0, 1), 3)
         with pytest.raises(ValueError):
-            toeplitz.cocycle_product(w, 9)
+            cocycle_product(w, 9)
 
     def test_newest_left_order(self):
         g = groups.builtin("S3")
@@ -93,7 +119,7 @@ class TestCocycleProduct:
             acc = 0
             for i in range(t):
                 acc = g.mul[w.values[i]][acc]
-            assert toeplitz.cocycle_product(w, t) == acc
+            assert cocycle_product(w, t) == acc
 
 
 class TestEssentialValues:
@@ -116,6 +142,23 @@ class TestEssentialValues:
             toeplitz.essential_values_check(g, tuple(range(120)), 8, 4)
         with pytest.raises(CapExceeded):
             toeplitz.essential_values_check(g, tuple(range(120)), 10**12, 4)
+
+    def test_refuse_check_depth(self):
+        g = groups.builtin("S5")
+        toeplitz.refuse_check_depth(g, 9)
+        with pytest.raises(ValueError, match="depth must be >= 2"):
+            toeplitz.refuse_check_depth(g, 1)
+        with pytest.raises(toeplitz.CheckDepthError):
+            toeplitz.refuse_check_depth(g, 8)
+        with pytest.raises(CapExceeded):
+            toeplitz.refuse_check_depth(g, 10**12)
+
+    def test_agree_radius_range(self):
+        w = toeplitz.generate_window(groups.builtin("Z2"), (0, 1), 5)
+        assert toeplitz.essential_values(w, 16) <= {0, 1}
+        for radius in (-1, 17):
+            with pytest.raises(ValueError, match="agree_radius"):
+                toeplitz.essential_values(w, radius)
 
 
 class TestDefaultEnumeration:
@@ -166,8 +209,126 @@ class TestRegularity:
     def test_densities(self):
         g = groups.builtin("Z3")
         w = toeplitz.generate_window(g, (0, 1, 2), 6)
-        profile = toeplitz.regularity_profile(w)
+        profile = regularity_profile(w)
         assert profile[0] == Fraction(1, 2)
         assert profile[1] == Fraction(3, 4)
         for k, d in enumerate(profile):
             assert d == 1 - Fraction(1, 2 ** (k + 1))
+
+
+def oracle_window(group, enumeration, m):
+    """The stride fill, every prefix product recomputed from position 0."""
+    size = 1 << m
+    values = [None] * size
+    stage_of = [None] * size
+    stage_values = []
+
+    def prefix_product(upto):
+        acc = 0
+        for i in range(upto + 1):
+            acc = group.mul[acc][values[i]]
+        return acc
+
+    for k in range(m + 1):
+        if k == 0:
+            g = enumeration[0]
+        else:
+            a = prefix_product((1 << k) - 2)
+            b = prefix_product((1 << (k - 1)) - 2)
+            u = enumeration[k % group.order]
+            g = group.mul[group.mul[group.inv[a]][u]][group.inv[b]]
+        stage_values.append(g)
+        for pos in range((1 << k) - 1, size, 1 << (k + 1)):
+            assert values[pos] is None
+            values[pos] = g
+            stage_of[pos] = k
+    assert None not in values
+    return tuple(values), tuple(stage_of), tuple(stage_values)
+
+
+def oracle_identity(w):
+    """a_k g_k b_k = u_(k mod N), each prefix product recomputed from position 0."""
+    mul = w.group.mul
+
+    def product(upto):
+        acc = 0
+        for i in range(upto + 1):
+            acc = mul[acc][w.values[i]]
+        return acc
+
+    n = len(w.enumeration)
+    for k in range(w.depth + 1):
+        a = product((1 << k) - 2)
+        b = product((1 << (k - 1)) - 2) if k >= 1 else 0
+        if mul[mul[a][w.stage_values[k]]][b] != w.enumeration[k % n]:
+            return False
+    return True
+
+
+def oracle_essential_values(w, agree_radius):
+    """Cocycle products over the shifts t <= 2^(m-1), one all(...) scan per shift."""
+    vals = w.values
+    limit = len(w) // 2
+    products = [0]
+    for v in vals[:limit]:
+        products.append(w.group.mul[v][products[-1]])
+    return {products[t] for t in range(limit + 1)
+            if all(vals[i + t] == vals[i] for i in range(agree_radius))}
+
+
+def oracle_enumerations(g):
+    """Lexicographic, greedy and two seeded shuffles."""
+    enums = [tuple(range(g.order)), toeplitz._greedy_closure_order(g)]
+    for seed in (1, 2):
+        rest = list(range(1, g.order))
+        random.Random(seed).shuffle(rest)
+        enums.append(tuple([0] + rest))
+    return enums
+
+
+class TestAgainstOracles:
+    def assert_matches(self, g, enum, m):
+        w = toeplitz.generate_window(g, enum, m)
+        assert (w.values, w.stage_of, w.stage_values) == oracle_window(g, enum, m)
+        assert toeplitz.construction_identity_holds(w) and oracle_identity(w)
+        if (1 << m) <= 4 * g.order:
+            with pytest.raises(toeplitz.CheckDepthError):
+                toeplitz.essential_values(w, 4)
+            return
+        for radius in (0, 1, 4, 8):
+            assert toeplitz.essential_values(w, radius) == oracle_essential_values(w, radius)
+        assert toeplitz.essential_values_check(g, enum, m, 4) == oracle_essential_values(w, 4)
+
+    @pytest.mark.parametrize("name", groups.BUILTIN_NAMES)
+    def test_builtin_windows(self, name):
+        g = groups.builtin(name)
+        for enum in oracle_enumerations(g):
+            for m in range(2, 13):
+                self.assert_matches(g, enum, m)
+
+    def test_deep_window(self):
+        g = groups.builtin("A5")
+        self.assert_matches(g, oracle_enumerations(g)[2], 16)
+
+    def test_changed_stage_value_fails_identity(self):
+        g = groups.builtin("S3")
+        w = toeplitz.generate_window(g, tuple(range(6)), 8)
+        for k in range(w.depth + 1):
+            for other in set(range(g.order)) - {w.stage_values[k]}:
+                stage_values = w.stage_values[:k] + (other,) + w.stage_values[k + 1:]
+                bad = dataclasses.replace(w, stage_values=stage_values)
+                assert not toeplitz.construction_identity_holds(bad)
+                assert not oracle_identity(bad)
+
+    def test_changed_value_fails_identity(self):
+        # position 2^k - 1 lies in the prefix a_(k+1): the check reads the
+        # window itself, not the products that built it
+        g = groups.builtin("S3")
+        w = toeplitz.generate_window(g, tuple(range(6)), 8)
+        for k in range(w.depth):
+            pos = (1 << k) - 1
+            values = list(w.values)
+            values[pos] = g.mul[values[pos]][1]
+            bad = dataclasses.replace(w, values=tuple(values))
+            assert not toeplitz.construction_identity_holds(bad)
+            assert not oracle_identity(bad)
