@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from cantorext import abelian, exactla
 from cantorext.abelian import FgAbGroup, LimitOutcome
@@ -57,69 +58,53 @@ class Intertwiner:
             raise ValueError("r does not carry the source unit to the target unit")
 
 
-def element_equal(lim: StationaryLimit, x, y) -> bool:
-    """Equality of (level, vector) pairs in the limit.
-
-    The stationary matrix is injective, so it suffices to compare at the
-    larger of the two levels.
-    """
-    (nx, vx), (ny, vy) = x, y
-    vx, vy = tuple(vx), tuple(vy)
-    if len(vx) != lim.dimension or len(vy) != lim.dimension:
-        raise ValueError("vector length disagrees with dimension")
-    while nx < ny:
-        vx = lim.a.apply(vx)
-        nx += 1
-    while ny < nx:
-        vy = lim.a.apply(vy)
-        ny += 1
-    return vx == vy
-
-
-def membership_in_limit(lim: StationaryLimit, v) -> bool:
-    """Whether the rational vector v lies in the limit embedded in Q^d.
-
-    Decides the existence of n >= 0 with a^n v integral by tracking residues
-    modulo the fixed common denominator; the state space is finite, so a
-    repeat without reaching zero is a definitive no.
-    """
-    v = [Fraction(x) for x in v]
-    if len(v) != lim.dimension:
-        raise ValueError("vector length disagrees with dimension")
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    u = tuple(int(x * den) % den for x in v)
+def _integral_under_powers(rows, w, den) -> bool:
+    """Whether a^n w == 0 mod den for some n >= 0, a given by its integer rows."""
+    u = tuple(x % den for x in w)
     seen = set()
     while u not in seen:
         if not any(u):
             return True
         seen.add(u)
-        u = tuple(x % den for x in lim.a.apply(u))
+        u = tuple(sum(map(mul, row, u)) % den for row in rows)
     return False
+
+
+def membership_in_limit(lim: StationaryLimit, v) -> bool:
+    """Whether the rational vector v lies in the limit embedded in Q^d.
+
+    Writes v = w / den with integer w and a common denominator den, and
+    decides whether a^n v is integral for some n >= 0.  The denominator need
+    not be reduced: a^n (w / den) is integral iff a^n w == 0 mod den, so the
+    walk tracks a^n w mod den.  The state space is finite, so a repeat
+    without reaching zero is a definitive no.
+    """
+    v = [Fraction(x) for x in v]
+    if len(v) != lim.dimension:
+        raise ValueError("vector length disagrees with dimension")
+    den = lcm(*(x.denominator for x in v)) if v else 1
+    w = [x.numerator * (den // x.denominator) for x in v]
+    return _integral_under_powers(lim.a.to_rows(), w, den)
+
+
+def _fact_set_member_reduced(num: int, den: int, b: int) -> bool:
+    """`fact_set_member` for a = num / den in lowest terms, den > 0."""
+    if den & (den - 1):  # the denominator must be a power of two, den = 2^n0
+        return False
+    n0 = den.bit_length() - 1
+    return (num - (b if n0 % 2 == 0 else -b)) % 3 == 0
 
 
 def fact_set_member(a, b) -> bool:
     """The explicit Morse limit condition: some n with 2^n a integral and
     2^n a congruent to (-1)^n b mod 3.
 
-    The congruence alternates with period 2 in n, so only the minimal
-    integralizing n and its successor need checking.
+    As 2 = -1 mod 3, going from n to n + 1 negates 2^n a - (-1)^n b mod 3,
+    so the condition holds for some n iff it holds at the minimal
+    integralizing n0, where 2^n0 a = numerator of a.
     """
     a = Fraction(a)
-    b = int(b)
-    den = a.denominator
-    # denominator must be a power of two
-    n0 = 0
-    while den % 2 == 0:
-        den //= 2
-        n0 += 1
-    if den != 1:
-        return False
-    for n in (n0, n0 + 1):
-        lhs = int(a * 2 ** n)
-        rhs = b if n % 2 == 0 else -b
-        if (lhs - rhs) % 3 == 0:
-            return True
-    return False
+    return _fact_set_member_reduced(a.numerator, a.denominator, int(b))
 
 
 def quotient_by_intertwiner(t: Intertwiner) -> LimitOutcome:
@@ -130,45 +115,6 @@ def quotient_by_intertwiner(t: Intertwiner) -> LimitOutcome:
     d = t.target.dimension
     rel_cols = t.r.columns()
     return abelian.direct_limit_lattice(d, rel_cols, t.target.a)
-
-
-def rational_eigenvalue_group(lim: StationaryLimit) -> LimitOutcome:
-    """Torsion of K0 / (Z . unit): the group of rational eigenvalues.
-
-    Requires the unit to be an eigenvector of the stationary matrix with an
-    integer eigenvalue c.  For |c| >= 2 the elements unit/c^k give a strictly
-    increasing chain of torsion, so the group is not finitely generated and a
-    witness (unit column, [c]) is returned; for |c| = 1 the level groups are
-    constant and the limit is computed directly.
-    """
-    e = lim.unit
-    if not any(e):
-        raise ValueError("unit must be nonzero")
-    ae = lim.a.apply(e)
-    c = None
-    for x, y in zip(ae, e):
-        if y:
-            if x % y:
-                c = None
-                break
-            q = x // y
-            if c is None:
-                c = q
-            elif c != q:
-                c = None
-                break
-        elif x:
-            c = None
-            break
-    if c is None:
-        raise ValueError("unit is not an eigenvector with integer eigenvalue")
-    if abs(c) >= 2:
-        witness = (ExactMatrix.column(e), ExactMatrix.from_rows([[c]]))
-        return LimitOutcome("non_finitely_generated", witness=witness)
-    outcome = abelian.direct_limit_lattice(lim.dimension, [e], lim.a)
-    if outcome.is_finitely_generated:
-        return LimitOutcome("finitely_generated", group=abelian.torsion_part(outcome.group))
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +132,19 @@ morse_limit_z = StationaryLimit(MORSE_B, MORSE_UNIT_Z)
 odometer_limit = StationaryLimit(ExactMatrix.from_rows([[2]]), (1,))
 
 
+def _morse_numerators(a_num: int, b_num: int, den: int):
+    """The Q^2 point of (a, b) = (a_num, b_num) / den as (numerators, denominator)."""
+    return (a_num + 2 * b_num, a_num - b_num), 3 * den
+
+
 def morse_coordinates(a, b):
     """Map the (a, b) parameters of the explicit limit description to Q^2."""
     a = Fraction(a)
     b = Fraction(b)
-    return ((a + 2 * b) / 3, (a - b) / 3)
+    den = lcm(a.denominator, b.denominator)
+    w, wden = _morse_numerators(a.numerator * (den // a.denominator),
+                                b.numerator * (den // b.denominator), den)
+    return tuple(Fraction(x, wden) for x in w)
 
 
 def morse_window(m: int):
@@ -218,16 +172,22 @@ def morse_window(m: int):
 
 
 def _sample_membership_agreement(count=100):
-    """Sampled two-sided agreement of the explicit description with the limit."""
+    """Sampled two-sided agreement of the explicit description with the limit.
+
+    Both deciders see the sample (a, b) = (a_num / a_den, b) as integers: the
+    explicit description its reduced pair, the residue walk the unreduced
+    numerators of its Q^2 point over 3 a_den.
+    """
+    rows = morse_limit_x.a.to_rows()
     checked = 0
     for a_num in range(-12, 13):
         for a_den in (1, 2, 4, 8, 3):
+            g = gcd(a_num, a_den)
             for b in range(-4, 5):
-                a = Fraction(a_num, a_den)
-                in_set = fact_set_member(a, b)
-                in_lim = membership_in_limit(morse_limit_x, morse_coordinates(a, b))
+                in_set = _fact_set_member_reduced(a_num // g, a_den // g, b)
+                in_lim = _integral_under_powers(rows, *_morse_numerators(a_num, b * a_den, a_den))
                 if in_set != in_lim:
-                    return checked, (a, b)
+                    return checked, (Fraction(a_num, a_den), b)
                 checked += 1
                 if checked >= count:
                     return checked, None

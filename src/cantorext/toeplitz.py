@@ -138,6 +138,14 @@ def essential_values(w: ToeplitzWindow, agree_radius: int):
     t <= 2^(m-1) such that the window shifted by t agrees with the unshifted
     window on [0, agree_radius); the check passes when the whole group is
     realized.
+
+    The scan reads the prefix [0, 2^(m-1) + agree_radius) encoded as a str
+    with one code point per element index, and finds the return times with
+    `str.find`; the running product advances only up to each return found,
+    and the scan stops once the whole group is realized.  One code point per
+    element is safe: the check needs 2^m > 4|G| and a window is at most
+    2^WINDOW_MAX_DEPTH = 2^22 long, so every index is below 2^20, under the
+    last code point 0x10FFFF (`chr` would raise above it, not alias).
     """
     group, vals = w.group, w.values
     if len(vals) <= 4 * group.order:
@@ -146,13 +154,19 @@ def essential_values(w: ToeplitzWindow, agree_radius: int):
     if not 0 <= agree_radius <= len(vals) - limit:
         raise ValueError(f"agree_radius must lie in [0, {len(vals) - limit}]")
     mul = group.mul
-    head = vals[:agree_radius]
+    end = limit + agree_radius  # a return t <= limit reads vals[t:t + agree_radius]
+    text = "".join(map(chr, vals[:end]))
+    head = text[:agree_radius]
     realized = set()
     acc = 0  # omega(t-1) ... omega(0)
-    for t, v in enumerate(vals[:limit + 1]):
-        if vals[t:t + agree_radius] == head:
-            realized.add(acc)
-        acc = mul[v][acc]
+    done = 0  # acc is the product of vals[:done]
+    t = 0  # the unshifted window always matches itself
+    while t != -1 and len(realized) < group.order:
+        for v in vals[done:t]:
+            acc = mul[v][acc]
+        done = t
+        realized.add(acc)
+        t = text.find(head, t + 1, end)
     return realized
 
 

@@ -295,7 +295,7 @@ class TestAgainstOracles:
             with pytest.raises(toeplitz.CheckDepthError):
                 toeplitz.essential_values(w, 4)
             return
-        for radius in (0, 1, 4, 8):
+        for radius in (0, 1, 4, 8, len(w) // 2):  # len(w) // 2 = 2^(m-1), the largest allowed
             assert toeplitz.essential_values(w, radius) == oracle_essential_values(w, radius)
         assert toeplitz.essential_values_check(g, enum, m, 4) == oracle_essential_values(w, 4)
 
@@ -305,6 +305,15 @@ class TestAgainstOracles:
         for enum in oracle_enumerations(g):
             for m in range(2, 13):
                 self.assert_matches(g, enum, m)
+
+    def test_group_above_one_byte(self):
+        # S6, order 720: element indices above 255 take code points above one byte
+        g = groups.from_permutations(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+        assert g.order == 720
+        for enum in oracle_enumerations(g)[::2]:
+            for m in (2, 11, 12, 13):
+                self.assert_matches(g, enum, m)
+        assert max(toeplitz.generate_window(g, oracle_enumerations(g)[2], 13).values) > 255
 
     def test_deep_window(self):
         g = groups.builtin("A5")
