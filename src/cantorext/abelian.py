@@ -163,12 +163,6 @@ class FgAbGroup:
             return None
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def direct_sum(self, other):
-        return FgAbGroup.from_orders(
-            list(self.invariant_factors) + list(other.invariant_factors),
-            self.free_rank + other.free_rank,
-        )
-
     def generator_count(self):
         return len(self.invariant_factors) + self.free_rank
 

@@ -14,7 +14,7 @@ from cantorext import exactla
 from cantorext.abelian import FgAbGroup
 from cantorext.exactla import ExactMatrix
 from cantorext.groups import (CosetSpace, FiniteGroup, OrbitStructure, check_level_size,
-                              coset_space)
+                              coset_space, fixed_point_counts)
 
 DEFAULT_TUPLE_CAP = 5_000_000
 
@@ -113,14 +113,12 @@ def _prime_powers(n: int) -> list:
 
 
 def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
-    """ker(d_m)/im(d_(m-1)) of the invariant chain over K, by certified streams.
+    """ker(d_m)/im(d_(m-1)) of the invariant chain over K, by orbit arithmetic.
 
     d_0 is understood as the zero map into I(K).  Since ker(d_m) is saturated,
     Z^n/ker is free and the torsion of the homology equals the torsion of
-    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)).  For
-    m >= 2 the orbit structures of levels m-2..m are built once and feed the
-    rows of d_(m-2) and d_(m-1), generated one at a time as {col: value}
-    dicts.
+    coker(d_(m-1)); the free rank is n_m - rank(d_m) - rank(d_(m-1)), with
+    n_i the number of orbits at level i.
 
     Transfer.  The invariant chain sits inside the cochain complex of all
     functions on K, K^2, ..., which is acyclic above level 1 (the simplex on
@@ -131,65 +129,70 @@ def homology_at(k: CosetSpace, m: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:
     torsion, its primes divide |G| and v_p of each factor is at most
     v_p(|G|).
 
-    Torsion and rank of d_(m-1), certified.  A rank mod a prime never exceeds
-    the rational rank, so r_low, the rank of d_(m-2) mod ``exactla.RANK_PRIME``
-    (0 at m = 2, as d_0 = 0), is a lower bound on rank(d_(m-2)), and since
-    d_(m-1) . d_(m-2) = 0, U = n_(m-1) - r_low is an upper bound on
-    rank(d_(m-1)).  For each prime p of |G| the rows of d_(m-1) are
-    eliminated over Z/p^e, e = v_p(|G|) + 1
-    (``exactla.local_invariant_counts``), which counts its invariant factors
-    of each valuation v < e.  If the counts of every prime sum to U, the rank
-    is U and every p-part is exact, so with the transfer the torsion is
-    known.  A prime that divides no factor reaches U at valuation 0 and stops
-    reading rows there.  Any shortfall falls back to the exact
-    ``exactla.snf_diagonal``: at level 2, where H^0 = Z leaves U out of
-    reach, and for the trivial group, which has no prime.
+    Levels 1 and 2, and the trivial group.  G is transitive on K, so level 1
+    has one orbit, the constants, and d_1 = 0: the homology there is Z.  At
+    level 2 it is ker(d_2), free and torsion at once, so 0.  For |G| = 1 the
+    transfer makes every level m >= 2 zero.  None of these builds an orbit
+    structure or eliminates anything.
 
-    Rank of d_m, from the transfer.  At m >= 2 the homology is torsion, so
-    its free rank is 0 and rank(d_m) = n_m - rank(d_(m-1)): no row of d_m is
-    generated and level m+1 is only checked against the cap, by its size.
-    Level 1 is the one level the transfer leaves free (H^0 = Z); there the
-    one-column d_1 is built and its rank taken by the exact ``exactla.rank``.
+    Ranks, by the Euler sum.  The homology being torsion at every level
+    i >= 2 gives rank(d_i) = n_i - rank(d_(i-1)), and rank(d_1) = 0, so
+    U = rank(d_(m-1)) = n_(m-1) - n_(m-2) + ... +- n_2 exactly, and the free
+    rank at level m is 0: no row of d_m is generated and level m+1 is only
+    checked against the cap, by its size.  n_(m-1) is the count of the one
+    orbit structure built below level m; the lower counts come from
+    Burnside's lemma, n_i = (1/|G|) * sum of fix(g)^i, with each fix(g)
+    counted through the conjugates of H in O(|G|)
+    (``groups.fixed_point_counts``).
+
+    Torsion, certified.  For each prime p of |G| the rows of d_(m-1),
+    generated one at a time as {col: value} dicts from the orbit structures
+    of levels m-1 and m, are eliminated over Z/p^e, e = v_p(|G|) + 1
+    (``exactla.local_invariant_counts``), which counts its invariant factors
+    of each valuation v < e.  If the counts of every prime sum to U, every
+    p-part is exact, so with the transfer the torsion is known.  A prime
+    that divides no factor reaches U at valuation 0 and stops reading rows
+    there; on non-regular K the rows no prime read are still generated, so
+    each is validated.  U is exact, so a shortfall means a fault in the
+    counts.  It is not raised: the exact ``exactla.snf_diagonal`` of d_(m-1)
+    decides the torsion instead.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        d_1 = differential_matrix(k, 1, cap)
-        return FgAbGroup.free(d_1.cols - exactla.rank(d_1))
-    low = max(m - 2, 1)
-    for n in range(low, m + 2):  # every level refused by size before any is built
+    for n in range(max(m - 2, 1), m + 2):  # every level refused by size before any is built
         check_level_size(k, n, cap)
-    levels = {n: OrbitStructure(k, n, cap=cap) for n in range(low, m + 1)}
+    if m == 1:
+        return FgAbGroup.free(1)
+    primes = _prime_powers(k.group.order)
+    if m == 2 or not primes:
+        return FgAbGroup.trivial()
+    src = OrbitStructure(k, m - 1, cap=cap)
+    dst = OrbitStructure(k, m, cap=cap)
+    bound = _euler_rank(k, m, src.count)
     validate = not k.is_regular
-
-    def rows(n):  # the rows of d_n
-        return _differential_rows(k, levels[n], levels[n + 1], validate)
-
-    return FgAbGroup.from_orders(_torsion(levels, m, rows, k.group.order, validate))
-
-
-def _torsion(levels, m, rows, group_order, validate):
-    """Torsion orders of coker(d_(m-1)), by the certificate of ``homology_at``."""
-    n_prev = levels[m - 1].count
-    r_low = 0 if m == 2 else exactla.rank_mod_p(rows(m - 2), levels[m - 2].count)
-    bound = n_prev - r_low
-    primes = _prime_powers(group_order)
     # every prime reads the rows from the start, and each row is generated once
-    d_prev = tee(rows(m - 1), len(primes) + 1)
+    d_prev = tee(_differential_rows(k, src, dst, validate), len(primes) + 1)
     torsion = []
-    certified = bool(primes)
     for (p, e), stream in zip(primes, d_prev):
         counts = exactla.local_invariant_counts(stream, p, e + 1, bound)
         if sum(counts) != bound:
-            certified = False
-            break
+            diag = exactla.snf_diagonal(_matrix(dst.count, src.count, d_prev[-1]))
+            return FgAbGroup.from_orders([d for d in diag if d > 1])
         torsion += [p ** v for v, c in enumerate(counts) for _ in range(c) if v]
-    if not certified:
-        diag = exactla.snf_diagonal(_matrix(levels[m].count, n_prev, d_prev[-1]))
-        return [d for d in diag if d > 1]
     if validate:
         deque(d_prev[-1], maxlen=0)  # validate the rows no prime read too
-    return torsion
+    return FgAbGroup.from_orders(torsion)
+
+
+def _euler_rank(k: CosetSpace, m: int, n_prev: int) -> int:
+    """rank(d_(m-1)) = n_(m-1) - n_(m-2) + ... +- n_2, given n_(m-1) = n_prev."""
+    order = k.group.order
+    fixes = fixed_point_counts(k) if m >= 4 else ()
+    rank, sign = n_prev, -1
+    for i in range(m - 2, 1, -1):
+        rank += sign * (sum(f ** i for f in fixes) // order)
+        sign = -sign
+    return rank
 
 
 def group_cohomology(g: FiniteGroup, n: int, cap=DEFAULT_TUPLE_CAP) -> FgAbGroup:

@@ -430,16 +430,6 @@ def _sparse_echelon(m: ExactMatrix) -> list:
     return pivot_rows
 
 
-# The largest prime below 2^30: residues fit in one CPython digit, and it
-# exceeds the order of any group the permutation-closure cap admits.
-RANK_PRIME = 1_073_741_789
-
-
-def rank(m: ExactMatrix) -> int:
-    """Exact rank of m, by sparse unimodular row elimination over Z."""
-    return len(_sparse_echelon(m))
-
-
 def _stream_pivots(rows, p, q, stop, pivots, aside=None) -> int:
     """Eliminate streamed {col: value} rows mod q = p^e against unit pivots.
 
@@ -505,16 +495,6 @@ def _stream_pivots(rows, p, q, stop, pivots, aside=None) -> int:
             if rest and aside is not None:
                 aside.append(rest)
     return found
-
-
-def rank_mod_p(rows, stop=None) -> int:
-    """Rank mod RANK_PRIME of {col: value} rows streamed in order.
-
-    It is a lower bound on the rational rank.  Reading stops at the row that
-    brings it to ``stop``.
-    """
-    p = RANK_PRIME
-    return _stream_pivots(rows, p, p, stop, ({}, {}))
 
 
 def local_invariant_counts(rows, p: int, e: int, stop: int) -> list:

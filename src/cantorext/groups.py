@@ -351,6 +351,22 @@ def check_level_size(space: CosetSpace, n: int, cap: int) -> None:
         raise CapExceeded(f"size {size} exceeds cap {cap}", size=size, cap=cap)
 
 
+def fixed_point_counts(space: CosetSpace) -> list:
+    """fix(g), the number of points of K that g fixes, for each g fixing one.
+
+    The point rH is fixed by g iff g lies in rHr^-1, so counting the
+    conjugates r h r^-1 over every point r and every h in H gives each
+    fix(g) in O(|G|), with no scan of the action table.  By Burnside's lemma
+    level n has (1/|G|) * sum of fix(g)^n diagonal orbits.
+    """
+    g = space.group
+    counts = [0] * g.order
+    for r in space.points:
+        for h in space.subgroup:
+            counts[g.conjugate(r, h)] += 1
+    return [c for c in counts if c]
+
+
 class OrbitStructure:
     """Diagonal G-orbits on K^n: representatives plus an index function.
 

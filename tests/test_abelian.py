@@ -205,7 +205,7 @@ class TestKerTensor:
                 mat = ExactMatrix.from_rows(
                     [[rng.randrange(-4, 5) for _ in range(a)] for _ in range(b)]
                 )
-                if exactla.rank(mat) == a:
+                if len(exactla._sparse_echelon(mat)) == a:
                     break  # the identity needs an injective map (exact 0->K->L)
             j = AbHom(FgAbGroup.free(a), FgAbGroup.free(b), mat)
             g = FgAbGroup.from_orders([rng.randrange(2, 13)])

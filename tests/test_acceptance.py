@@ -142,7 +142,7 @@ def test_criterion_08_appendix_e_suite():
             mat = ExactMatrix.from_rows(
                 [[rng.randrange(-6, 7) for _ in range(a)] for _ in range(b)]
             )
-            if exactla.rank(mat) == a:
+            if len(exactla._sparse_echelon(mat)) == a:
                 break  # the Appendix E identity needs an injective map
         j = AbHom(FgAbGroup.free(a), FgAbGroup.free(b), mat)
         g = FgAbGroup.from_orders(

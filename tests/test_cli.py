@@ -414,7 +414,7 @@ class TestRefusalBeforeWork:
         def eliminate(*args, **kwargs):
             raise AssertionError("elimination started before the refusal")
 
-        for name in ("rank", "rank_mod_p", "local_invariant_counts", "snf_diagonal"):
+        for name in ("local_invariant_counts", "snf_diagonal"):
             monkeypatch.setattr(exactla, name, eliminate)
 
     def test_level_above_m_refused_by_size(self, capsys, no_elimination):

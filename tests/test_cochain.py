@@ -1,5 +1,7 @@
 """Unit tests for the invariant chain complex and its cohomology."""
 
+from collections import deque
+
 import pytest
 
 from cantorext import cochain, exactla, groups
@@ -107,7 +109,8 @@ class LastCodeReplaced(list):
 
 def test_level_above_m_is_never_built(monkeypatch):
     # H^3 over the non-regular K = D4/<5>: rank(d_3) comes from the transfer,
-    # so level 4, which holds the rows of d_3, is never built
+    # so level 4, which holds the rows of d_3, is never built, and rank(d_2)
+    # is n_2, so level 1 is not built either
     d4 = groups.builtin("D4")
     k = coset_space(d4, [5])
     assert not k.is_regular
@@ -120,7 +123,7 @@ def test_level_above_m_is_never_built(monkeypatch):
 
     monkeypatch.setattr(cochain, "OrbitStructure", Recorded)
     assert cochain.homology_at(k, 3) == FgAbGroup((2, 2))
-    assert sorted(built) == [1, 2, 3]
+    assert sorted(built) == [2, 3]
 
     class Corrupted(groups.OrbitStructure):
         def __init__(self, space, n, cap):
@@ -199,13 +202,15 @@ class TestHomologyAt:
 
 
 @pytest.fixture
-def exact_rank_fallback_raises(monkeypatch):
-    """Make exactla.rank, the exact fallback of homology_at, raise."""
+def no_elimination(monkeypatch):
+    """Make the local counts, the exact torsion fallback and OrbitStructure raise."""
 
-    def rank(m):
-        raise AssertionError("exact rank fallback reached")
+    def fail(*args, **kwargs):
+        raise AssertionError("elimination or orbit structure reached")
 
-    monkeypatch.setattr(exactla, "rank", rank)
+    monkeypatch.setattr(exactla, "local_invariant_counts", fail)
+    monkeypatch.setattr(exactla, "snf_diagonal", fail)
+    monkeypatch.setattr(cochain, "OrbitStructure", fail)
 
 
 @pytest.fixture
@@ -219,18 +224,16 @@ def exact_torsion_fallback_raises(monkeypatch):
 
 
 class TestCertifiedRank:
-    def test_torsion_levels_certify(self, exact_rank_fallback_raises,
-                                    exact_torsion_fallback_raises):
+    def test_torsion_levels_certify(self, exact_torsion_fallback_raises):
         d4 = groups.builtin("D4")
         assert cochain.group_cohomology(d4, 3) == FgAbGroup((2,))
         # non-regular K = D4/<5>
         assert cochain.relative_cohomology_isometric(d4, [5], 0) == FgAbGroup((2, 2))
 
-    def test_free_level_falls_back(self, exact_rank_fallback_raises):
-        # H^0 = Z is free, the one level the transfer leaves open: level 1
-        # takes the exact rank of d_1
-        with pytest.raises(AssertionError, match="fallback"):
-            cochain.group_cohomology(groups.builtin("D4"), 0)
+    def test_free_level_eliminates_nothing(self, no_elimination):
+        # H^0 = Z is free, the one level the transfer leaves open: level 1 has
+        # one orbit, the constants, so d_1 = 0 and nothing is built
+        assert cochain.group_cohomology(groups.builtin("D4"), 0) == FgAbGroup.free(1)
 
     def test_count_below_bound_falls_back(self, monkeypatch):
         # one invariant factor fewer than U: the local counts do not certify
@@ -254,10 +257,12 @@ class TestCertifiedRank:
         # one exact elimination, of d_2, whose rows are the orbits of level 3
         assert exact_calls == [groups.OrbitStructure(coset_space(q8, []), 3).count]
 
-    def test_trivial_group_falls_back(self):
-        # |G| = 1 has no prime to eliminate over; the exact path answers
+    def test_trivial_group_eliminates_nothing(self, no_elimination):
+        # |G| = 1 has no prime, and by the transfer it annihilates every
+        # level m >= 2: the answer is 0 with nothing built
         trivial = groups.FiniteGroup([[0]])
-        assert cochain.group_cohomology(trivial, 2).is_trivial
+        for n in range(1, 5):
+            assert cochain.group_cohomology(trivial, n).is_trivial
 
 
 # Every class of job in the group and relative cohomology benchmark decks:
@@ -306,10 +311,10 @@ def test_deck_jobs_certify_and_match_the_exact_path(monkeypatch):
 
 
 @pytest.mark.parametrize("name", DECK_H1)
-def test_deck_h1_reaches_the_torsion_fallback(name, exact_torsion_fallback_raises):
-    # at level 2 the bound U = n_1 = 1 is out of reach: d_1 = 0 since H^0 = Z
-    with pytest.raises(AssertionError, match="torsion fallback"):
-        cochain.group_cohomology(groups.builtin(name), 1)
+def test_deck_h1_reaches_the_torsion_fallback(name, no_elimination):
+    # the torsion fallback is no longer reached, nor anything else: level 2
+    # is ker(d_2) since d_1 = 0, free and, by the transfer, torsion, so 0
+    assert cochain.group_cohomology(groups.builtin(name), 1).is_trivial
 
 
 DEEP_JOBS = [
@@ -338,18 +343,29 @@ TRANSFER_LEVELS = list(dict.fromkeys(
 ))
 
 
+# a prime above the order of every group the closure cap admits
+RANK_PRIME = 1_073_741_789
+
+
 @pytest.mark.parametrize("name, gens, m", TRANSFER_LEVELS, ids=[
     f"{name}<{','.join(map(str, gens))}>-m{m}" for name, gens, m in TRANSFER_LEVELS])
 def test_transfer_gives_the_rank_of_d_m(name, gens, m):
     # the old runtime certificate, kept as an oracle: since d_m . d_(m-1) = 0,
     # rank(d_m) <= U = n_m - rank(d_(m-1)), and a rank mod p never exceeds
     # the rational rank, so reaching U mod p proves rank(d_m) = U, that is a
-    # free rank of 0 at level m; d_m is built by differential_matrix, which
-    # validates its rows on non-regular K
+    # free rank of 0 at level m; the rows of d_m are streamed, and on
+    # non-regular K every one of them is validated, as differential_matrix does
     k = coset_space(groups.builtin(name), list(gens))
-    d_m = cochain.differential_matrix(k, m)
-    bound = d_m.cols - exactla.rank(cochain.differential_matrix(k, m - 1))
-    assert exactla.rank_mod_p(d_m.row_dicts(), bound) == bound
+    d_prev = cochain.differential_matrix(k, m - 1)
+    rank_prev = len(exactla._sparse_echelon(d_prev))
+    # the Euler sum homology_at takes for rank(d_(m-1)) is that exact rank
+    assert cochain._euler_rank(k, m, d_prev.cols) == rank_prev
+    src, dst = groups.OrbitStructure(k, m), groups.OrbitStructure(k, m + 1)
+    bound = src.count - rank_prev
+    rows = cochain._differential_rows(k, src, dst)
+    assert exactla._stream_pivots(rows, RANK_PRIME, RANK_PRIME, bound, ({}, {})) == bound
+    if not k.is_regular:
+        deque(rows, maxlen=0)
 
 
 class TestGroupCohomology:

@@ -10,6 +10,15 @@ from hypothesis import strategies as st
 from cantorext import exactla
 from cantorext.exactla import ExactMatrix
 
+# The largest prime below 2^30: residues fit in one CPython digit, and it
+# exceeds the order of any group the permutation-closure cap admits.
+RANK_PRIME = 1_073_741_789
+
+
+def exact_rank(m):
+    """Exact rank of m: the number of pivot rows of the sparse echelon over Z."""
+    return len(exactla._sparse_echelon(m))
+
 
 def same_lattice(dim, cols_a, cols_b):
     return exactla.lattice_basis(dim, cols_a) == exactla.lattice_basis(dim, cols_b)
@@ -205,12 +214,12 @@ class TestProperties:
         ker = exactla.kernel_basis(m)
         for v in ker:
             assert not any(m.apply(v))
-        assert len(ker) == m.cols - exactla.rank(m)
+        assert len(ker) == m.cols - exact_rank(m)
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices())
     def test_rank_agrees_with_snf(self, m):
-        assert exactla.rank(m) == len([x for x in exactla.snf(m).diagonal() if x])
+        assert exact_rank(m) == len([x for x in exactla.snf(m).diagonal() if x])
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices())
@@ -229,7 +238,7 @@ class TestProperties:
 def sparse_matrices(draw):
     """Sparse integer matrices; half are products through a narrow middle, so
     rank-deficient, and a few entries are the rank prime, which vanishes mod p."""
-    values = st.one_of(st.integers(-3, 3), st.just(exactla.RANK_PRIME))
+    values = st.one_of(st.integers(-3, 3), st.just(RANK_PRIME))
 
     def sparse(rows, cols):
         if not rows or not cols:
@@ -246,9 +255,14 @@ def sparse_matrices(draw):
     return sparse(r, c)
 
 
+def rank_mod_p(rows, stop=None):
+    """Rank mod RANK_PRIME of streamed rows, reading them until it reaches stop."""
+    return exactla._stream_pivots(rows, RANK_PRIME, RANK_PRIME, stop, ({}, {}))
+
+
 def dense_rank_mod_p(m):
     """Rank of m mod RANK_PRIME by dense Gaussian elimination."""
-    p = exactla.RANK_PRIME
+    p = RANK_PRIME
     a = [[v % p for v in row] for row in m.to_rows()]
     r = 0
     for j in range(m.cols):
@@ -269,22 +283,22 @@ class TestCertifiedRank:
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
     def test_bounded_rank_is_exact(self, m):
-        exact = exactla.rank(m)
+        exact = exact_rank(m)
         mod_p = dense_rank_mod_p(m)
         assert mod_p <= exact
-        assert exactla.rank_mod_p(m.row_dicts()) == mod_p
+        assert rank_mod_p(m.row_dicts()) == mod_p
         # the exact rank as bound is reached unless p kills a pivot
-        assert (exactla.rank_mod_p(m.row_dicts(), exact) == exact) == (mod_p == exact)
-        assert exactla.rank_mod_p(m.row_dicts(), mod_p) == mod_p
+        assert (rank_mod_p(m.row_dicts(), exact) == exact) == (mod_p == exact)
+        assert rank_mod_p(m.row_dicts(), mod_p) == mod_p
         # a bound above the rank is never reached mod p
-        assert exactla.rank_mod_p(m.row_dicts(), exact + 1) != exact + 1
+        assert rank_mod_p(m.row_dicts(), exact + 1) != exact + 1
 
     def test_certificate_failure_falls_back(self):
         # [[p]] has rank 0 mod p but rank 1 over Z: the certificate fails and
         # only the exact rank sees the pivot
-        m = ExactMatrix.from_rows([[exactla.RANK_PRIME]])
-        assert exactla.rank_mod_p(m.row_dicts(), 1) != 1
-        assert exactla.rank(m) == 1
+        m = ExactMatrix.from_rows([[RANK_PRIME]])
+        assert rank_mod_p(m.row_dicts(), 1) != 1
+        assert exact_rank(m) == 1
 
     def test_stops_at_bound(self):
         def rows():
@@ -293,10 +307,10 @@ class TestCertifiedRank:
             yield {1: 3}
             raise AssertionError("read past the row that reaches the bound")
 
-        assert exactla.rank_mod_p(rows(), 2) == 2
+        assert rank_mod_p(rows(), 2) == 2
 
     def test_rank_prime(self):
-        p = exactla.RANK_PRIME
+        p = RANK_PRIME
         assert p < 1 << 30
         assert all(p % d for d in range(2, int(p ** 0.5) + 1))
 

@@ -172,6 +172,7 @@ def oracle_spaces():
 
 ORACLE_MAX_TUPLES = 20_000
 ORACLE_MAX_LEVEL = 6
+BURNSIDE_MAX_ORBITS = 4_000
 
 
 class TestOrbits:
@@ -206,6 +207,33 @@ class TestOrbits:
                         // g.order
                     )
                     assert len(orbits) == burnside == OrbitStructure(k, n).count
+
+    def test_fixed_point_counts_match_the_action(self):
+        for name, k in oracle_spaces():
+            scanned = [sum(1 for x in range(k.size) if k.action[g][x] == x)
+                       for g in range(k.group.order)]
+            assert sorted(groups.fixed_point_counts(k)) == sorted(f for f in scanned if f), \
+                (name, k.subgroup)
+
+    def test_burnside_counts_match_orbit_structures(self):
+        # n_i = (1/|G|) * sum of fix(g)^i against the enumerated count, on
+        # trivial and cyclic H, at every level up to a few thousand orbits
+        checked = 0
+        for name in groups.BUILTIN_NAMES:
+            g = groups.builtin(name)
+            subgroups = [(0,)] + sorted({
+                g.subgroup_closure([x]) for x in (1, 2, g.order - 1) if x < g.order})
+            for h in subgroups:
+                k = coset_space(g, list(h))
+                fixes = groups.fixed_point_counts(k)
+                for n in range(1, 12):
+                    total = sum(f ** n for f in fixes)
+                    assert total % g.order == 0
+                    if total // g.order > BURNSIDE_MAX_ORBITS:
+                        break
+                    assert OrbitStructure(k, n).count == total // g.order, (name, h, n)
+                    checked += 1
+        assert checked > 200
 
     def test_orbit_sizes_divide_group_order(self):
         g = groups.builtin("S3")
